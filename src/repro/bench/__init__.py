@@ -10,7 +10,7 @@ from .harness import (
     run_manual,
     run_multi_level,
 )
-from .parallel import derive_seed, parallel_enabled, run_cells
+from ..runtime.pool import derive_seed, parallel_enabled, run_cells
 from .timeline import render_timeline
 from .reporting import (
     app_table,

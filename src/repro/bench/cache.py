@@ -22,7 +22,7 @@ This module provides the process-local memo store those layers share:
   ``bench.cache_hits`` / ``bench.cache_misses`` metrics recorded on the
   caller's observability hub and process-local counters for tests;
 - :func:`snapshot` / :func:`install` export and import picklable cache
-  state so :func:`repro.bench.parallel.run_cells` can seed pool workers
+  state so :func:`repro.runtime.pool.run_cells` can seed pool workers
   with the parent's already-computed cells;
 - :func:`disk_lookup` / :func:`disk_store` are an **optional on-disk
   tier** rooted at ``REPRO_MEMO_DIR`` (or an explicit directory):
@@ -124,7 +124,7 @@ def override(enabled: Optional[bool]) -> Iterator[None]:
 def fingerprint(*parts: Any) -> str:
     """Stable digest of ``repr``-encoded components.
 
-    Like :func:`repro.bench.parallel.derive_seed`, hashing goes through
+    Like :func:`repro.runtime.pool.derive_seed`, hashing goes through
     BLAKE2 so the digest is identical across processes and interpreter
     launches (``hash()`` is salted).
     """
@@ -315,7 +315,7 @@ def clear(reset_stats: bool = True) -> None:
 
 
 # ----------------------------------------------------------------------
-# sharing with pool workers (repro.bench.parallel)
+# sharing with pool workers (repro.runtime.pool)
 # ----------------------------------------------------------------------
 def snapshot(limit: int = 256) -> Dict[Tuple[Any, ...], Any]:
     """Picklable export of up to ``limit`` cached cells.

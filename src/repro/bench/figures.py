@@ -36,13 +36,13 @@ from ..runtime.config import ElasticityConfig, RuntimeConfig
 from ..runtime.events import AdaptationTrace
 from ..runtime.executor import AdaptationExecutor
 from ..runtime.pe import ProcessingElement
+from ..runtime.pool import run_cells
 from .harness import (
     Comparison,
     compare,
     oracle_sweep,
     run_multi_level,
 )
-from .parallel import run_cells
 
 MACHINES = {"xeon": xeon_176, "power8": power8_184}
 
@@ -122,7 +122,7 @@ def fig01_motivation(
     """100-operator chain, 100 FLOPs/op: the motivating sweep.
 
     Cells (one per payload x cores point) are independent and fan out
-    across a process pool (see :mod:`repro.bench.parallel`).
+    across a process pool (see :mod:`repro.runtime.pool`).
     """
     cells = [
         (payload, n_cores, n_operators, tuple(fractions), seed)

@@ -17,6 +17,7 @@ adaptation on a pipeline and reports the converged configuration.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from typing import Callable, Dict, Optional, Sequence
 
@@ -269,6 +270,23 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
+def _positive(cast: Callable[[str], float]) -> Callable[[str], float]:
+    """Argparse type: a finite number > 0, else a usage error (exit 2)."""
+
+    def parse(text: str) -> float:
+        value = cast(text)  # ValueError: argparse says "invalid int value"
+        if not 0 < value < math.inf:
+            raise argparse.ArgumentTypeError(f"must be > 0, got {text!r}")
+        return value
+
+    parse.__name__ = cast.__name__
+    return parse
+
+
+positive_int = _positive(int)
+positive_float = _positive(float)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -317,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     bench.add_argument(
         "--jobs",
-        type=int,
+        type=positive_int,
         default=None,
         metavar="N",
         help=(
@@ -359,17 +377,17 @@ def build_parser() -> argparse.ArgumentParser:
         ("latency", "latency profile across configurations"),
     ]:
         p = sub.add_parser(cmd, help=helptext)
-        p.add_argument("--operators", type=int, default=100)
-        p.add_argument("--payload", type=int, default=1024)
-        p.add_argument("--cost", type=float, default=100.0)
+        p.add_argument("--operators", type=positive_int, default=100)
+        p.add_argument("--payload", type=positive_int, default=1024)
+        p.add_argument("--cost", type=positive_float, default=100.0)
         p.add_argument(
             "--machine",
             default="xeon",
             choices=["xeon", "power8", "laptop"],
         )
-        p.add_argument("--cores", type=int, default=None)
+        p.add_argument("--cores", type=positive_int, default=None)
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--duration", type=float, default=10_000.0)
+        p.add_argument("--duration", type=positive_float, default=10_000.0)
     return parser
 
 

@@ -363,9 +363,9 @@ class ThreadingModelElasticity:
 
     def _restore_subset(self, gi: int, subset: Tuple[int, ...]) -> None:
         """Put ``subset`` at the front of group gi's order, count-aligned."""
-        order = self._orders[gi]
         chosen = list(subset)
-        rest = [m for m in order if m not in set(subset)]
+        taken = set(subset)
+        rest = [m for m in self._orders[gi] if m not in taken]
         self._orders[gi] = chosen + rest
         self._counts[gi] = len(chosen)
 

@@ -21,8 +21,11 @@ threading model, how many threads), never the graph itself.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, replace
+from types import MappingProxyType
+from typing import (
+    Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple,
+)
 
 
 class FanoutPolicy(enum.Enum):
@@ -151,16 +154,7 @@ class Operator:
         Used by workload generators that re-assign cost distributions
         (e.g. the phase change in Fig. 13) without rebuilding the graph.
         """
-        return Operator(
-            index=self.index,
-            name=self.name,
-            cost_flops=cost_flops,
-            kind=self.kind,
-            selectivity=self.selectivity,
-            uses_lock=self.uses_lock,
-            fanout=self.fanout,
-            max_rate=self.max_rate,
-        )
+        return replace(self, cost_flops=cost_flops)
 
 
 @dataclass(frozen=True)
@@ -189,8 +183,9 @@ class StreamGraph:
 
     - the operator table (dense indices 0..n-1),
     - forward and reverse adjacency,
-    - a cached topological order,
-    - the tuple spec describing payloads on its streams.
+    - the tuple spec describing payloads on its streams,
+    - quantities derived once from the structure: topological order,
+      sources and sinks, edge-rate multipliers and arrival rates.
 
     Instances are conceptually immutable; the only sanctioned mutation is
     :meth:`replace_costs`, which returns a **new** graph (used for
@@ -206,20 +201,39 @@ class StreamGraph:
     ) -> None:
         self.name = name
         self.tuple_spec = tuple_spec if tuple_spec is not None else TupleSpec()
-        self._operators: List[Operator] = list(operators)
-        self._edges: List[StreamEdge] = list(edges)
-        self._successors: Dict[int, List[int]] = {
-            op.index: [] for op in self._operators
-        }
-        self._predecessors: Dict[int, List[int]] = {
-            op.index: [] for op in self._operators
-        }
+        self._operators: Tuple[Operator, ...] = tuple(operators)
+        self._edges: Tuple[StreamEdge, ...] = tuple(edges)
         self._validate_indices()
+        succs: List[List[int]] = [[] for _ in self._operators]
+        preds: List[List[int]] = [[] for _ in self._operators]
         for edge in self._edges:
-            self._successors[edge.src].append(edge.dst)
-            self._predecessors[edge.dst].append(edge.src)
-        self._topo_order: List[int] = self._compute_topo_order()
+            succs[edge.src].append(edge.dst)
+            preds[edge.dst].append(edge.src)
+        self._successors = tuple(map(tuple, succs))
+        self._predecessors = tuple(map(tuple, preds))
+        self._topo_order = self._compute_topo_order()
+        self._sources = tuple(op for op in self._operators if op.is_source)
+        self._sinks = tuple(op for op in self._operators if op.is_sink)
         self._validate_structure()
+        # Everything below depends only on the (immutable) structure, so
+        # it is derived once here rather than on every query.  Edge-rate
+        # multipliers: see edge_rate_multiplier.
+        self._edge_multipliers = tuple(
+            0.0 if not out
+            else op.selectivity / len(out)
+            if op.fanout is FanoutPolicy.SPLIT
+            else op.selectivity
+            for op, out in zip(self._operators, self._successors)
+        )
+        rates = {op.index: 0.0 for op in self._operators}
+        for op in self._sources:
+            rates[op.index] = 1.0
+        for idx in self._topo_order:
+            per_succ = rates[idx] * self._edge_multipliers[idx]
+            for succ in self._successors[idx]:
+                rates[succ] += per_succ
+        self._arrival_rates = rates
+        self._sink_rate = sum(rates[op.index] for op in self._sinks)
 
     # ------------------------------------------------------------------
     # construction-time validation
@@ -241,7 +255,7 @@ class StreamGraph:
                     f"edge {edge} references unknown operator"
                 )
 
-    def _compute_topo_order(self) -> List[int]:
+    def _compute_topo_order(self) -> Tuple[int, ...]:
         """Kahn's algorithm; raises on cycles."""
         in_degree = {op.index: 0 for op in self._operators}
         for edge in self._edges:
@@ -263,7 +277,7 @@ class StreamGraph:
                     queue.append(succ)
         if len(order) != len(self._operators):
             raise GraphValidationError("stream graph contains a cycle")
-        return order
+        return tuple(order)
 
     def _validate_structure(self) -> None:
         for op in self._operators:
@@ -281,9 +295,9 @@ class StreamGraph:
                 raise GraphValidationError(
                     f"non-source operator {op.name} has no incoming streams"
                 )
-        if not any(op.is_source for op in self._operators):
+        if not self._sources:
             raise GraphValidationError("graph has no source operator")
-        if not any(op.is_sink for op in self._operators):
+        if not self._sinks:
             raise GraphValidationError("graph has no sink operator")
 
     # ------------------------------------------------------------------
@@ -297,11 +311,11 @@ class StreamGraph:
 
     @property
     def operators(self) -> Tuple[Operator, ...]:
-        return tuple(self._operators)
+        return self._operators
 
     @property
     def edges(self) -> Tuple[StreamEdge, ...]:
-        return tuple(self._edges)
+        return self._edges
 
     def operator(self, index: int) -> Operator:
         return self._operators[index]
@@ -313,21 +327,26 @@ class StreamGraph:
         raise KeyError(f"no operator named {name!r} in graph {self.name!r}")
 
     def successors(self, index: int) -> Tuple[int, ...]:
-        return tuple(self._successors[index])
+        return self._successors[index]
+
+    @property
+    def successor_table(self) -> Tuple[Tuple[int, ...], ...]:
+        """:meth:`successors` of every operator, indexed by operator."""
+        return self._successors
 
     def predecessors(self, index: int) -> Tuple[int, ...]:
-        return tuple(self._predecessors[index])
+        return self._predecessors[index]
 
     def topological_order(self) -> Tuple[int, ...]:
-        return tuple(self._topo_order)
+        return self._topo_order
 
     @property
     def sources(self) -> Tuple[Operator, ...]:
-        return tuple(op for op in self._operators if op.is_source)
+        return self._sources
 
     @property
     def sinks(self) -> Tuple[Operator, ...]:
-        return tuple(op for op in self._operators if op.is_sink)
+        return self._sinks
 
     def fan_out(self, index: int) -> int:
         return len(self._successors[index])
@@ -349,16 +368,15 @@ class StreamGraph:
         output tuple), ``selectivity / fan_out`` for split fan-out
         (data-parallel round-robin distribution).
         """
-        op = self._operators[src]
-        n_succ = len(self._successors[src])
-        if n_succ == 0:
-            return 0.0
-        if op.fanout is FanoutPolicy.SPLIT:
-            return op.selectivity / n_succ
-        return op.selectivity
+        return self._edge_multipliers[src]
 
-    def arrival_rates(self) -> Dict[int, float]:
-        """Relative per-operator tuple arrival rates.
+    @property
+    def edge_rate_multipliers(self) -> Tuple[float, ...]:
+        """:meth:`edge_rate_multiplier` of every operator, by index."""
+        return self._edge_multipliers
+
+    def arrival_rates(self) -> Mapping[int, float]:
+        """Relative per-operator tuple arrival rates (read-only).
 
         Sources are normalized to rate 1.0 each; downstream rates follow
         selectivity along edges.  Broadcast fan-out *replicates* tuples
@@ -366,14 +384,12 @@ class StreamGraph:
         split fan-out divides them (data parallelism); fan-in *sums*
         rates.
         """
-        rates: Dict[int, float] = {op.index: 0.0 for op in self._operators}
-        for op in self.sources:
-            rates[op.index] = 1.0
-        for idx in self._topo_order:
-            per_succ = rates[idx] * self.edge_rate_multiplier(idx)
-            for succ in self._successors[idx]:
-                rates[succ] += per_succ
-        return rates
+        return MappingProxyType(self._arrival_rates)
+
+    def sink_rate(self) -> float:
+        """Summed :meth:`arrival_rates` over the sinks: tuples reaching
+        the sinks per tuple emitted by each source."""
+        return self._sink_rate
 
     def weighted_cost_flops(self) -> Dict[int, float]:
         """Per-operator cost weighted by relative arrival rate.

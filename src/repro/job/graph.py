@@ -102,7 +102,7 @@ class PeSubgraph:
         sinks (vs. egress channels) — its direct contribution to job
         throughput."""
         rates = self.graph.arrival_rates()
-        total = sum(rates[op.index] for op in self.graph.sinks)
+        total = self.graph.sink_rate()
         if total <= 0.0:
             return 0.0
         real = sum(
@@ -256,7 +256,7 @@ def _channel_weights(
 ) -> Dict[str, float]:
     """Per-egress fraction of the subgraph's total sink emission."""
     rates = sub.arrival_rates()
-    total = sum(rates[op.index] for op in sub.sinks)
+    total = sub.sink_rate()
     if total <= 0.0:
         return {name: 0.0 for name in egress}
     return {

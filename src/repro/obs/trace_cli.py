@@ -237,6 +237,8 @@ def run_trace(args: argparse.Namespace) -> int:
 
 def add_trace_arguments(parser: argparse.ArgumentParser) -> None:
     """Register the ``trace`` subcommand's arguments on ``parser``."""
+    from ..cli import positive_float, positive_int
+
     parser.add_argument(
         "experiment",
         help="experiment to replay, e.g. fig06 (see: python -m repro list)",
@@ -257,14 +259,14 @@ def add_trace_arguments(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--cores",
-        type=int,
+        type=positive_int,
         default=None,
         help="override the machine's logical core count",
     )
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument(
         "--duration",
-        type=float,
+        type=positive_float,
         default=None,
         help="virtual seconds to run (default: experiment-specific)",
     )

@@ -77,31 +77,25 @@ class ThroughputEstimate:
 class PerformanceModel:
     """Evaluates throughput for (placement, thread count) configurations.
 
-    A model instance is bound to one graph and one machine profile so it
-    can cache the (placement-independent) global rates and reuse region
-    decompositions across repeated evaluations of the same placement —
-    the adaptation loop evaluates each configuration many consecutive
-    periods.
+    A model instance is bound to one graph and one machine profile, so
+    what depends only on those two — each operator's fixed per-tuple
+    cost, the sources' rate cap — is computed once per graph.  Estimates
+    are cached per (placement, thread count); the region decomposition
+    of the most recent placement is kept, since the adaptation loop
+    evaluates one placement over many consecutive periods and thread
+    counts, and revisited placements hit the estimate cache instead.
     """
 
     def __init__(self, graph: StreamGraph, machine: MachineProfile) -> None:
-        self.graph = graph
         self.machine = machine
-        self._decomposition_cache: Dict[frozenset, RegionDecomposition] = {}
-        self._estimate_cache: Dict[Tuple[frozenset, int], ThroughputEstimate] = {}
+        self.invalidate(graph)
 
     # ------------------------------------------------------------------
     def decomposition(self, placement: QueuePlacement) -> RegionDecomposition:
-        key = placement.queued
-        found = self._decomposition_cache.get(key)
-        if found is None:
-            found = decompose(self.graph, placement)
-            # Bound the cache: adaptation explores O(hundreds) of
-            # placements; keep the most recent ones only.
-            if len(self._decomposition_cache) > 512:
-                self._decomposition_cache.clear()
-            self._decomposition_cache[key] = found
-        return found
+        last = self._last_decomposition
+        if last is None or last.placement.queued != placement.queued:
+            last = self._last_decomposition = decompose(self.graph, placement)
+        return last
 
     # ------------------------------------------------------------------
     def estimate(
@@ -118,7 +112,6 @@ class PerformanceModel:
             return cached
 
         machine = self.machine
-        graph = self.graph
         decomp = self.decomposition(placement)
         n_sources = len(decomp.source_regions)
         n_dynamic = len(decomp.dynamic_regions)
@@ -129,7 +122,7 @@ class PerformanceModel:
         capacity = machine.effective_capacity(active)
         thread_speed = capacity / active if active > 0 else 0.0
 
-        payload = graph.tuple_spec.payload_bytes
+        payload = self.graph.tuple_spec.payload_bytes
         # Threads that touch queues: producers (any region that pushes)
         # plus scheduler threads.  Using `active` is a faithful upper
         # bound for the contention estimate.
@@ -143,16 +136,13 @@ class PerformanceModel:
         serial_max = 0.0
         bottleneck_entry: Optional[int] = None
 
+        base_cost = self._base_cost
+        locked = self._locked
         for region in decomp.regions:
             work = 0.0
             for op_idx, rate in region.op_rates:
-                op = graph.operator(op_idx)
-                per_tuple = (
-                    machine.flop_time(op.cost_flops)
-                    + machine.call_overhead_s
-                    + machine.submit_overhead_s * op.selectivity
-                )
-                if op.uses_lock:
+                per_tuple = base_cost[op_idx]
+                if op_idx in locked:
                     contenders = min(decomp.threads_reaching(op_idx), active)
                     per_tuple += operator_lock_cost(machine, contenders)
                 work += rate * per_tuple
@@ -207,14 +197,7 @@ class PerformanceModel:
         # External arrival limit: sources cannot emit faster than the
         # outside world delivers (the NIC line rate for the paper's
         # DPDK ingest).  Aggregate = n_sources x the slowest cap.
-        rate_caps = [
-            op.max_rate
-            for op in graph.sources
-            if op.max_rate is not None
-        ]
-        source_rate_bound = (
-            scale * min(rate_caps) if rate_caps else inf
-        )
+        source_rate_bound = scale * self._source_rate_cap
 
         throughput = min(
             serial_bound,
@@ -251,17 +234,27 @@ class PerformanceModel:
         source rate through the graph's selectivities.
         """
         estimate = self.estimate(placement, scheduler_threads)
-        rates = self.graph.arrival_rates()
-        sink_rate_per_source = sum(
-            rates[op.index] for op in self.graph.sinks
-        )
         # Rates are normalized per-source; `throughput` aggregates all
         # sources, each contributing rate 1.
         n_sources = max(1, len(self.graph.sources))
-        return estimate.throughput * sink_rate_per_source / n_sources
+        return estimate.throughput * self.graph.sink_rate() / n_sources
 
     def invalidate(self, graph: StreamGraph) -> None:
-        """Swap in a new graph (workload change) and drop caches."""
+        """Bind a (new) graph — a workload change — and drop caches."""
         self.graph = graph
-        self._decomposition_cache.clear()
-        self._estimate_cache.clear()
+        self._last_decomposition: Optional[RegionDecomposition] = None
+        self._estimate_cache: Dict[Tuple[frozenset, int], ThroughputEstimate] = {}
+        machine = self.machine
+        # Fixed per-tuple cost of each operator: execution plus
+        # call/submit overheads (lock contention is added per region).
+        self._base_cost = tuple(
+            machine.flop_time(op.cost_flops)
+            + machine.call_overhead_s
+            + machine.submit_overhead_s * op.selectivity
+            for op in graph
+        )
+        self._locked = frozenset(op.index for op in graph if op.uses_lock)
+        self._source_rate_cap = min(
+            (op.max_rate for op in graph.sources if op.max_rate is not None),
+            default=float("inf"),
+        )

@@ -4,8 +4,7 @@ Two execution shapes share this module:
 
 - :func:`run_cells` fans a sweep of *independent* cells across a
   throwaway :class:`~concurrent.futures.ProcessPoolExecutor`, one task
-  per cell (the figure-experiment idiom, formerly
-  ``repro.bench.parallel``);
+  per cell (the figure-experiment idiom);
 - :class:`WorkerPool` keeps a fixed set of *sticky* workers alive for
   a whole run.  Each worker builds private state once (via the
   ``init_fn``) and every subsequent call runs against that state, so

@@ -48,15 +48,16 @@ class QueuePlacement:
         return QueuePlacement(frozenset(indices))
 
     def validate(self, graph: StreamGraph) -> None:
-        n = len(graph)
-        for idx in self.queued:
-            if not 0 <= idx < n:
+        queued, n = self.queued, len(graph)
+        if queued and not (0 <= min(queued) and max(queued) < n):
+            idx = next(i for i in queued if not 0 <= i < n)
+            raise PlacementError(
+                f"placement references unknown operator {idx}"
+            )
+        for op in graph.sources:
+            if op.index in queued:
                 raise PlacementError(
-                    f"placement references unknown operator {idx}"
-                )
-            if graph.operator(idx).is_source:
-                raise PlacementError(
-                    f"source operator {graph.operator(idx).name} "
+                    f"source operator {op.name} "
                     "cannot have a scheduler queue"
                 )
 

@@ -31,15 +31,14 @@ so the global rates are conserved (tested property).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, List, NamedTuple, Tuple
 
 from ..graph.model import StreamGraph
 from .queues import QueuePlacement
 
 
-@dataclass(frozen=True)
-class Region:
-    """One serial execution unit of the PE."""
+class Region(NamedTuple):
+    """One serial execution unit of the PE (a tuple: cheap to build)."""
 
     entry: int
     is_source_region: bool
@@ -102,71 +101,59 @@ def decompose(
 ) -> RegionDecomposition:
     """Partition ``graph`` into regions under ``placement``.
 
-    The algorithm walks from each region head (source or queued
-    operator) through non-queued successors, propagating tuple rates.
-    Complexity is O(V + E) per region head in the worst case but each
-    edge is visited exactly once overall, since an edge belongs to
-    exactly one region (the region executing its ``src``) — either it
-    stays in-region (dst not queued) or becomes a push (dst queued).
+    One pass over the operators in topological order: each operator
+    holds, per region reaching it without crossing a queue, the rate
+    that region delivers to it, and forwards that rate to its
+    successors — in-region when the successor is not queued, as a push
+    when it is.  Topological order lets fan-in inside a region
+    accumulate fully before the operator's own outputs are propagated.
+    Each edge is handled once per region executing its ``src``, so the
+    cost is linear in the graph plus region overlap at unqueued fan-in.
     """
     placement.validate(graph)
     global_rates = graph.arrival_rates()
+    queued = placement.queued
+    successors = graph.successor_table
+    multipliers = graph.edge_rate_multipliers
 
-    heads: List[int] = [op.index for op in graph.sources]
-    heads.extend(
-        idx for idx in sorted(placement.queued)
-    )
+    # Source heads come first, so a head's position says its kind.
+    n_sources = len(graph.sources)
+    heads = [op.index for op in graph.sources] + sorted(queued)
 
-    regions: List[Region] = []
-    topo_position = {idx: pos for pos, idx in enumerate(graph.topological_order())}
-
-    for head in heads:
-        is_source = graph.operator(head).is_source
-        entry_rate = 1.0 if is_source else global_rates[head]
-        # In-region rate propagation.  ``rates`` maps op -> tuples/sec
-        # processed by THIS region, per unit source rate.  For a queued
-        # head all tuples arriving at the queue are handled here; for a
-        # source the region handles its own emissions.
-        rates: Dict[int, float] = {head: entry_rate}
-        pushes: Dict[int, float] = {}
-        # Process members in topological order so fan-in inside the
-        # region accumulates fully before the operator's own outputs are
-        # propagated.
-        frontier = {head}
-        members: List[int] = []
-        # Collect the member set first (reachable without crossing queues).
-        stack = [head]
-        member_set = {head}
-        while stack:
-            node = stack.pop()
-            for succ in graph.successors(node):
-                if succ in placement:
-                    continue
-                if succ not in member_set:
-                    member_set.add(succ)
-                    stack.append(succ)
-        members = sorted(member_set, key=lambda i: topo_position[i])
-        for node in members:
-            node_rate = rates.get(node, 0.0)
-            per_succ = node_rate * graph.edge_rate_multiplier(node)
-            for succ in graph.successors(node):
-                if succ in placement:
-                    pushes[succ] = pushes.get(succ, 0.0) + per_succ
+    # reached[op]: region head -> tuples/sec that region processes at
+    # op, per unit source rate.  A queued head handles every tuple
+    # arriving at its queue; a source region handles its own emissions.
+    reached: List[Dict[int, float]] = [{} for _ in range(len(graph))]
+    members: Dict[int, List[Tuple[int, float]]] = {}
+    pushes: Dict[int, Dict[int, float]] = {}
+    for pos, head in enumerate(heads):
+        reached[head][head] = 1.0 if pos < n_sources else global_rates[head]
+        members[head] = []
+        pushes[head] = {}
+    for node in graph.topological_order():
+        succs = successors[node]
+        mult = multipliers[node]
+        for head, rate in reached[node].items():
+            members[head].append((node, rate))
+            per_succ = rate * mult
+            for succ in succs:
+                if succ in queued:
+                    out = pushes[head]
+                    out[succ] = out.get(succ, 0.0) + per_succ
                 else:
-                    rates[succ] = rates.get(succ, 0.0) + per_succ
-        del frontier
-        op_rates = tuple(
-            (idx, rates.get(idx, 0.0)) for idx in members
-        )
-        push_rates = tuple(sorted(pushes.items()))
-        regions.append(
-            Region(
-                entry=head,
-                is_source_region=is_source,
-                entry_rate=entry_rate,
-                op_rates=op_rates,
-                push_rates=push_rates,
-            )
-        )
+                    out = reached[succ]
+                    out[head] = out.get(head, 0.0) + per_succ
 
-    return RegionDecomposition(regions=tuple(regions), placement=placement)
+    return RegionDecomposition(
+        regions=tuple(
+            Region(
+                head,  # entry
+                pos < n_sources,  # is_source_region
+                members[head][0][1],  # entry_rate: the head comes first
+                tuple(members[head]),  # op_rates
+                tuple(sorted(pushes[head].items())),  # push_rates
+            )
+            for pos, head in enumerate(heads)
+        ),
+        placement=placement,
+    )

@@ -144,8 +144,7 @@ class CompiledScenario:
         """Sink tuples produced per unit source tuple (selectivity
         product summed over sinks), for converting sink throughput back
         into admitted source rate."""
-        rates = self.graph.arrival_rates()
-        return sum(rates[op.index] for op in self.graph.sinks)
+        return self.graph.sink_rate()
 
 
 # ----------------------------------------------------------------------

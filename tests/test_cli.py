@@ -198,3 +198,44 @@ class TestScenarioCommands:
         err = capsys.readouterr().err
         assert "no-such" in err
         assert "pipeline-smoke" in err
+
+
+class TestNumericValidation:
+    """Bad numeric options are usage errors (exit 2), never tracebacks."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["trace", "fig01", "--duration", "0"],
+            ["trace", "fig01", "--duration", "-5"],
+            ["trace", "fig01", "--cores", "0"],
+            ["elastic", "--operators", "0"],
+            ["elastic", "--payload", "-1"],
+            ["elastic", "--cost", "0"],
+            ["elastic", "--cost", "nan"],
+            ["sweep", "--cores", "-4"],
+            ["latency", "--duration", "inf"],
+            ["elastic", "--operators", "2.5"],
+            ["bench", "--scenario", "pipeline-smoke", "--jobs", "-1"],
+            ["bench", "--scenario", "pipeline-smoke", "--jobs", "0"],
+        ],
+    )
+    def test_rejected_with_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        (line,) = [ln for ln in err.splitlines() if "error:" in ln]
+        assert f"argument {argv[-2]}" in line
+
+    def test_positive_values_parse(self):
+        args = build_parser().parse_args(
+            ["trace", "fig01", "--duration", "0.5", "--cores", "3"]
+        )
+        assert args.duration == 0.5
+        assert args.cores == 3
+        args = build_parser().parse_args(
+            ["bench", "--scenario", "pipeline-smoke", "--jobs", "2"]
+        )
+        assert args.jobs == 2
