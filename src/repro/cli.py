@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from typing import Callable, Dict, Optional, Sequence
 
@@ -285,6 +286,25 @@ def _positive(cast: Callable[[str], float]) -> Callable[[str], float]:
 
 positive_int = _positive(int)
 positive_float = _positive(float)
+
+
+def writable_file(text: str) -> str:
+    """Argparse type: a file path that can be created or overwritten.
+
+    Checked at parse time, so a bad ``--output`` is a usage error
+    (exit 2) before any simulation runs rather than a traceback after.
+    """
+    if os.path.isdir(text):
+        raise argparse.ArgumentTypeError(f"is a directory: {text!r}")
+    parent = os.path.dirname(os.path.abspath(text))
+    if not os.path.isdir(parent):
+        raise argparse.ArgumentTypeError(
+            f"directory does not exist: {parent!r}"
+        )
+    target = text if os.path.exists(text) else parent
+    if not os.access(target, os.W_OK):
+        raise argparse.ArgumentTypeError(f"not writable: {text!r}")
+    return text
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -15,6 +15,7 @@ from .kernel import (
     SimQueue,
     Simulator,
     Timeout,
+    WakeAt,
 )
 
 __all__ = [
@@ -36,4 +37,5 @@ __all__ = [
     "SimQueue",
     "Simulator",
     "Timeout",
+    "WakeAt",
 ]

@@ -50,9 +50,18 @@ per-operator event granularity for cross-validation.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
-from typing import Dict, Generator, Iterator, List, Optional, Tuple
+from typing import (
+    Dict,
+    Generator,
+    Iterator,
+    List,
+    NamedTuple,
+    Optional,
+    Tuple,
+)
 
 import numpy as np
 
@@ -72,6 +81,7 @@ from .kernel import (
     SimLock,
     SimQueue,
     Simulator,
+    WakeAt,
 )
 
 _TOKEN = object()
@@ -151,6 +161,11 @@ class _RegionPlan:
     burst caps for this region — batch size further bounded by the
     flush timeout at this region's per-tuple cost (the tables stop
     there, so an out-of-range lookup is a bug, not a silent error).
+
+    ``help_coarse``/``help_fine`` replay :meth:`DesEngine._region_work`
+    for one entry tuple run inline by a backpressured producer (see
+    :meth:`DesEngine._push_with_help`), unprofiled and with a profiler
+    attached.  Both are ``None`` for regions that are not ``fast``.
     """
 
     ops: Tuple[Tuple[int, float, Optional[SimLock], float], ...]
@@ -167,6 +182,79 @@ class _RegionPlan:
     max_burst_src: int = 1
     max_burst_sched: int = 1
     lock_acq: Tuple[SimLock, ...] = ()
+    help_coarse: Optional["_Help"] = None
+    help_fine: Optional["_Help"] = None
+
+
+class _Help(NamedTuple):
+    """What ``_region_work`` does for one tuple of a fast region, as a
+    list of yields.
+
+    Each step is ``(dt, sinks, locks, state, foldable)``: right before
+    yielding ``dt`` the generator has added the sink credits ``sinks``,
+    taken the locks ``locks`` (one acquisition each) and, with a
+    profiler attached, published operator ``state``; ``foldable`` is
+    False on the last step only.  ``tail_sinks`` are the credits it
+    adds after its last yield.  Delays use its float accumulation
+    order.
+    """
+
+    steps: Tuple[
+        Tuple[
+            float,
+            Tuple[float, ...],
+            Tuple[SimLock, ...],
+            Optional[int],
+            bool,
+        ],
+        ...,
+    ]
+    tail_sinks: Tuple[float, ...]
+
+
+def _help_plan(
+    ops: Tuple[Tuple[int, float, Optional[SimLock], float], ...],
+    lock_s: float,
+    push_cost: Optional[float],
+    fine: bool,
+) -> _Help:
+    """Replay ``_region_work`` (seeded with ``lock_s``, the help path's
+    port sync; ``fine`` as with a profiler attached) for one tuple of a
+    fast region: unit push credit, and locks that never block."""
+    steps = []
+    sinks: List[float] = []  # credits since the latest yield
+    locks: List[SimLock] = []
+    state: Optional[int] = None
+
+    def step(dt: float) -> None:
+        steps.append((dt, tuple(sinks), tuple(locks), state, True))
+        sinks.clear()
+        locks.clear()
+
+    pending = lock_s
+    for op_idx, dt, lock, sink_n in ops:
+        if fine:
+            state = op_idx
+        if lock is not None:
+            if pending:
+                step(pending)
+                pending = 0.0
+            locks.append(lock)
+            step(dt + lock_s)
+        else:
+            pending += dt
+            if fine:
+                step(pending)
+                pending = 0.0
+        if sink_n:
+            sinks.append(sink_n)
+    state = None
+    if push_cost is not None:
+        step(pending + push_cost)
+    elif pending:
+        step(pending)
+    steps[-1] = steps[-1][:4] + (False,)
+    return _Help(tuple(steps), tuple(sinks))
 
 
 @dataclass(frozen=True)
@@ -527,6 +615,7 @@ class DesEngine:
                     np.full(max_sched, tup_sched, dtype=np.float64)
                 ).tolist(),
             )
+        help_push = pushes[0][3] if pushes else None
         return _RegionPlan(
             ops=ops_t,
             pushes=pushes,
@@ -546,6 +635,12 @@ class DesEngine:
             max_burst_src=max_src,
             max_burst_sched=max_sched,
             lock_acq=lock_acq,
+            help_coarse=(
+                _help_plan(ops_t, lock_s, help_push, False) if fast else None
+            ),
+            help_fine=(
+                _help_plan(ops_t, lock_s, help_push, True) if fast else None
+            ),
         )
 
     def _region_work(
@@ -643,7 +738,13 @@ class DesEngine:
         can run between our check and the corresponding Put.
         """
         consumer = self._region_by_entry[queue_op]
+        plan = self._plans[queue_op]
         sim = self.sim
+        busy_s = self._busy_s
+        registry = self.registry if self.profiler is not None else None
+        help_ = None
+        if plan.fast:
+            help_ = plan.help_fine if registry else plan.help_coarse
         while queue.is_full:
             port = self._region_locks[queue_op]
             if not sim.acquire_nowait(port):
@@ -654,12 +755,62 @@ class DesEngine:
                 break
             sim.pop_nowait(queue)
             self._m_helps.inc()
-            yield from self._region_work(
-                consumer,
-                count_source=False,
-                thread_name=thread_name,
-                pending=self.machine.lock_uncontended_s,
-            )
+            if help_ is None:
+                yield from self._region_work(
+                    consumer,
+                    count_source=False,
+                    thread_name=thread_name,
+                    pending=self.machine.lock_uncontended_s,
+                )
+                sim.release_nowait(port)
+                continue
+            # A fast consumer replays _region_work's yields inline,
+            # folding each one that no other event could observe: it
+            # ends strictly before the next pending event and within
+            # the run_until horizon, and is not the last.  A folded
+            # chain wakes at the float time the yields would have
+            # reached, with its heap entry in the same order.
+            t = sim.now
+            bound = sim.next_event_time
+            horizon = sim.horizon
+            busy = busy_s.get(thread_name, 0.0)
+            for dt, sinks, locks, state, foldable in help_.steps:
+                for sink_n in sinks:
+                    self._sink_count += sink_n
+                    self._m_sink.inc(sink_n)
+                for lk in locks:
+                    lk.acquisitions += 1
+                busy += dt
+                t_next = t + dt
+                if foldable and t_next < bound and t_next <= horizon:
+                    t = t_next
+                    continue
+                # Only the state a yield leaves can be observed.
+                if registry is not None:
+                    registry.set_current(thread_name, state)
+                busy_s[thread_name] = busy
+                if t == sim.now:
+                    yield dt
+                else:
+                    yield WakeAt(t_next)
+                t = sim.now
+                bound = sim.next_event_time
+                horizon = sim.horizon
+                busy = busy_s.get(thread_name, 0.0)
+            for sink_n in help_.tail_sinks:
+                self._sink_count += sink_n
+                self._m_sink.inc(sink_n)
+            if registry is not None:
+                registry.set_current(thread_name, None)
+            push = plan.push
+            if push is not None:
+                pqueue, pqueue_op, _cost = push
+                if sim.put_nowait(pqueue, _TOKEN):
+                    self._m_pushes.inc()
+                else:
+                    yield from self._push_with_help(
+                        pqueue_op, pqueue, thread_name
+                    )
             sim.release_nowait(port)
         self._m_pushes.inc()
         if not self.sim.put_nowait(queue, _TOKEN):
@@ -793,7 +944,9 @@ class DesEngine:
         the same adaptation decisions) as the classic closed-loop run.
         ``drop`` keeps strict per-arrival admission: each arrival's
         shed check must see the queue state at its own admission
-        instant.
+        instant.  A source holding no core sheds a run of arrivals that
+        provably meet a full ingress in one event (:meth:`_shed_run`),
+        with the same counts and timing.
         """
         sim = self.sim
         name = f"src:{region.entry}"
@@ -810,9 +963,22 @@ class DesEngine:
         prof_ops = plan.prof_ops
         drop = self._overflow_drop
         ingress = tuple(q for q, _key, _incr, _cost in plan.pushes)
+        # Nearly every source region pushes into one queue: check it
+        # directly instead of scanning a tuple per arrival.
+        single = ingress[0] if len(ingress) == 1 else None
+        fast = plan.fast and fast_ok
+        burst_src = plan.burst_src
+        max_burst = plan.max_burst_src
+        push = plan.push
+        sink_total = plan.sink_total
+        lock_acq = plan.lock_acq
+        m_offered = self._m_offered
         slice_left = 0
         arrivals = iter(arrivals)
         pending: Optional[float] = None
+        # Set when a coalesced drop run leaves the next arrival's wake
+        # already yielded (see _shed_run).
+        arrived = False
         while True:
             if pending is not None:
                 due, pending = pending, None
@@ -821,19 +987,31 @@ class DesEngine:
                     due = next(arrivals)
                 except StopIteration:  # pragma: no cover - infinite contract
                     return
-            wait = due - sim.now
-            if wait > 0:
-                if slice_left > 0:
-                    # Never hold a core across an idle wait.
-                    slice_left = 0
-                    sim.put_nowait(core_pool, _TOKEN)
-                yield wait
+            if arrived:
+                arrived = False
+            else:
+                wait = due - sim.now
+                if wait > 0:
+                    if slice_left > 0:
+                        # Never hold a core across an idle wait.
+                        slice_left = 0
+                        sim.put_nowait(core_pool, _TOKEN)
+                    yield wait
             self._offered_count += 1.0
-            self._m_offered.inc()
-            if drop and ingress and any(q.is_full for q in ingress):
+            m_offered.inc()
+            if drop and (
+                len(single.items) >= single.capacity
+                if single is not None
+                else any(q.is_full for q in ingress)
+            ):
                 # Ingress shed: the arrival never enters the PE.
                 self._dropped_count += 1.0
                 self._m_dropped.inc()
+                if slice_left <= 0:
+                    pending, wake = self._shed_run(arrivals)
+                    if wake is not None:
+                        yield wake
+                        arrived = True
                 continue
             if slice_left <= 0:
                 if core_pool.items:
@@ -842,7 +1020,7 @@ class DesEngine:
                 else:
                     yield Get(core_pool)
                 slice_left = _CORE_SLICE
-            if plan.fast and fast_ok:
+            if fast:
                 b = 1
                 if not drop:
                     # Admit the backlog as one burst (see above).  A
@@ -856,27 +1034,26 @@ class DesEngine:
                     # undersized bursts (nothing is due yet at t=0) and
                     # the transient never matches the closed-loop event
                     # structure.
-                    burst_src = plan.burst_src
-                    b_max = min(plan.max_burst_src, slice_left)
+                    now = sim.now
+                    b_max = max_burst if max_burst < slice_left else slice_left
                     while b < b_max:
                         try:
                             nxt = next(arrivals)
                         except StopIteration:  # pragma: no cover
                             break
-                        if nxt > sim.now + burst_src[b]:
+                        if nxt > now + burst_src[b]:
                             pending = nxt
                             break
                         b += 1
                         self._offered_count += 1.0
-                        self._m_offered.inc()
+                        m_offered.inc()
                 slice_left -= b
-                dt = plan.burst_src[b]
+                dt = burst_src[b]
                 self._m_batch_flushes.inc()
                 if publish is not None and prof_bounds is not None:
                     publish.set_interval(
                         name, sim.now, prof_bounds, prof_ops, b
                     )
-                push = plan.push
                 if push is not None:
                     queue, queue_op, _push_cost = push
                     busy_s[name] = busy_s.get(name, 0.0) + dt
@@ -891,10 +1068,10 @@ class DesEngine:
                 elif dt:
                     busy_s[name] = busy_s.get(name, 0.0) + dt
                     yield dt
-                if plan.sink_total:
-                    self._sink_count += plan.sink_total * b
-                    self._m_sink.inc(plan.sink_total * b)
-                for lk in plan.lock_acq:
+                if sink_total:
+                    self._sink_count += sink_total * b
+                    self._m_sink.inc(sink_total * b)
+                for lk in lock_acq:
                     lk.acquisitions += b
                 self._source_count += b
                 self._m_source.inc(b)
@@ -907,6 +1084,53 @@ class DesEngine:
                 sim.put_nowait(core_pool, _TOKEN)
             elif slice_left <= 0:
                 slice_left = _CORE_SLICE
+
+    def _shed_run(
+        self, arrivals: Iterator[float]
+    ) -> Tuple[Optional[float], Optional[WakeAt]]:
+        """Shed, inline, the arrivals that would meet a full ingress.
+
+        Called by a ``drop`` source that just shed an arrival while
+        holding no core.  Until the next pending event nothing can
+        change its ingress queue, so every following arrival whose
+        chained dispatch time ``t + (due - t)`` falls strictly before
+        that event (and within the ``run_until`` horizon, so it counts
+        in the same window) is shed exactly as its own event would
+        have shed it; they are counted in bulk with a virtual clock
+        ``t`` that repeats the per-arrival chain's arithmetic.  Returns
+        the first arrival past the run and, when the clock moved, the
+        :class:`WakeAt` that dispatches it at the float time the chain
+        would have produced; the caller then presents that arrival
+        without waiting again.  With ``wake`` ``None`` the caller waits
+        for it as usual.  A budgeted stride (no horizon) sheds nothing
+        here, so fast-forward probes see one event per arrival.
+        """
+        sim = self.sim
+        bound = sim.next_event_time
+        horizon = sim.horizon
+        if horizon == -math.inf:
+            return next(arrivals, None), None
+        t = start = sim.now
+        n = 0
+        wake = None
+        for due in arrivals:
+            wait = due - t
+            if wait > 0:
+                t_next = t + wait
+                if not (t_next < bound and t_next <= horizon):
+                    if t != start:
+                        wake = WakeAt(t_next)
+                    break
+                t = t_next
+            n += 1
+        else:  # pragma: no cover - infinite contract
+            due = None
+        if n:
+            self._offered_count += n
+            self._dropped_count += n
+            self._m_offered.inc(n)
+            self._m_dropped.inc(n)
+        return due, wake
 
     def _scheduler_thread(self, thread_id: int) -> _Req:
         name = f"sched:{thread_id}"

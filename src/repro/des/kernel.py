@@ -6,6 +6,9 @@ yield *requests* to the simulator —
 
 - a bare ``float`` (or :class:`Timeout`) — advance this process by a
   simulated delay,
+- :class:`WakeAt` — resume this process at an absolute simulated time
+  (for processes that advanced a virtual clock of their own and must
+  wake at the exact float time their per-event chain would have),
 - :class:`Get` / :class:`Put` — blocking pop/push on a bounded
   :class:`SimQueue` (the scheduler queues),
 - :class:`Acquire` / :class:`Release` — FIFO mutual exclusion on a
@@ -31,6 +34,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Any, Deque, Generator, List, Optional, Tuple
 from collections import deque
@@ -49,6 +53,22 @@ class Timeout(Request):
     def __post_init__(self) -> None:
         if self.delay < 0:
             raise ValueError(f"negative timeout: {self.delay}")
+
+
+class WakeAt(Request):
+    """Resume the yielding task at absolute simulated time ``time``.
+
+    Heap ordering is the same as for a timeout dispatched at ``time``:
+    the entry takes the next sequence number, so it follows every
+    entry already scheduled for the same instant.  A plain slotted
+    class rather than a frozen dataclass: processes that fold event
+    chains create one per fold, so construction cost matters.
+    """
+
+    __slots__ = ("time",)
+
+    def __init__(self, time: float) -> None:
+        self.time = time
 
 
 @dataclass(frozen=True)
@@ -191,6 +211,12 @@ class Simulator:
         self.trace: Optional[List[Tuple[int, int, Any]]] = None
         self.deadlocked = False
         self.deadlock_tasks: Tuple[str, ...] = ()
+        # Latest time the current run_until call will dispatch: its
+        # t_end, or -inf under an event budget (a budgeted stride may
+        # stop at any event, so no process may fold future events
+        # into the present).  Processes that coalesce a chain of their
+        # own future events never fold one past it.
+        self.horizon = -math.inf
         self._current: Optional[_Task] = None
         self._handlers = {
             Timeout: self._handle_timeout,
@@ -240,6 +266,7 @@ class Simulator:
         pop = heapq.heappop
         advance = self._advance
         n = 0
+        self.horizon = t_end if max_events is None else -math.inf
         if max_events is None:
             while heap and heap[0][0] <= t_end:
                 time, _seq, task, value = pop(heap)
@@ -285,6 +312,11 @@ class Simulator:
     @property
     def pending_events(self) -> int:
         return len(self._heap)
+
+    @property
+    def next_event_time(self) -> float:
+        """Time of the earliest pending event (``inf`` when none)."""
+        return self._heap[0][0] if self._heap else math.inf
 
     # ------------------------------------------------------------------
     # synchronous helpers (safe inside a single event callback)
@@ -402,6 +434,18 @@ class Simulator:
                 push(heap, (now + request.delay, next(seq), task, None))
                 if trace is not None:
                     trace.append((task.idx, _SIG_TIMEOUT, request.delay))
+                return
+            if cls is WakeAt:
+                if request.time < now:
+                    raise ValueError(
+                        f"wake time {request.time} before now {now} "
+                        f"from {task.name}"
+                    )
+                push(heap, (request.time, next(seq), task, None))
+                if trace is not None:
+                    trace.append(
+                        (task.idx, _SIG_TIMEOUT, request.time - now)
+                    )
                 return
             if cls is Get:
                 queue = request.queue

@@ -237,7 +237,7 @@ def run_trace(args: argparse.Namespace) -> int:
 
 def add_trace_arguments(parser: argparse.ArgumentParser) -> None:
     """Register the ``trace`` subcommand's arguments on ``parser``."""
-    from ..cli import positive_float, positive_int
+    from ..cli import positive_float, positive_int, writable_file
 
     parser.add_argument(
         "experiment",
@@ -251,6 +251,7 @@ def add_trace_arguments(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--output",
+        type=writable_file,
         default=None,
         help="write to this file instead of stdout",
     )

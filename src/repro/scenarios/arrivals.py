@@ -8,7 +8,10 @@ the same stream — the property the regression zoo depends on.
 Rate envelopes are *piecewise constant*: :meth:`ArrivalProcess.rate_at`
 and :meth:`ArrivalProcess.segments` discretize the modulation into the
 same constant-rate slots, so the generators and the test oracles agree
-exactly on the envelope (no sampling-vs-integral drift).
+exactly on the envelope (no sampling-vs-integral drift).  Envelopes are
+streamed: :meth:`ArrivalProcess.iter_segments` builds each segment only
+when the consumer reads it, so a measurement window that uses a few
+milliseconds of a fast ON/OFF envelope never materializes the rest.
 
 Generation:
 
@@ -79,25 +82,30 @@ class ArrivalProcess:
     def segments(self, t0: float, horizon_s: float) -> List[Tuple[float, float, float]]:
         """Constant-rate ``(start, end, rate)`` segments covering
         ``[t0, t0 + horizon_s)``."""
-        out: List[Tuple[float, float, float]] = []
+        return list(self.iter_segments(t0, horizon_s))
+
+    def iter_segments(
+        self, t0: float, horizon_s: float
+    ) -> Iterator[Tuple[float, float, float]]:
+        """Lazy form of :meth:`segments`: the same segments with the
+        same arithmetic, built only as far as the consumer reads."""
         base = self.spec.rate
         mod = self.spec.modulation
         end = t0 + horizon_s
         t = t0
         if mod.kind is ModulationKind.NONE:
-            return [(t0, end, base)]
-        if mod.kind is ModulationKind.DIURNAL:
+            yield (t0, end, base)
+        elif mod.kind is ModulationKind.DIURNAL:
             factors = _diurnal_factors(mod)
             slot_s = mod.period_s / mod.steps
             k = math.floor(t / slot_s)
             while t < end:
                 seg_end = min((k + 1) * slot_s, end)
                 if seg_end > t:
-                    out.append((t, seg_end, base * factors[k % mod.steps]))
+                    yield (t, seg_end, base * factors[k % mod.steps])
                 t = seg_end
                 k += 1
-            return out
-        if mod.kind is ModulationKind.ONOFF:
+        elif mod.kind is ModulationKind.ONOFF:
             # Cycle-indexed (not accumulated) so float error cannot
             # stall progress near phase boundaries.
             cycle = mod.on_s + mod.off_s
@@ -108,14 +116,14 @@ class ArrivalProcess:
                 off_end = (k + 1) * cycle
                 s, e = max(cycle_start, t0), min(on_end, end)
                 if e > s:
-                    out.append((s, e, base))
+                    yield (s, e, base)
                 s, e = max(on_end, t0), min(off_end, end)
                 if e > s:
-                    out.append((s, e, 0.0))
+                    yield (s, e, 0.0)
                 if off_end >= end:
-                    return out
+                    return
                 k += 1
-        if mod.kind is ModulationKind.FLASH_CROWD:
+        elif mod.kind is ModulationKind.FLASH_CROWD:
             # base | ramp up | hold at factor*base | ramp down | base.
             bounds = [
                 (0.0, mod.at_s),
@@ -127,21 +135,23 @@ class ArrivalProcess:
                 ),
                 (mod.at_s + 2.0 * mod.ramp_s + mod.hold_s, _TAIL_S),
             ]
-            return self._piecewise(bounds, t0, end, self._flash_factor)
-        if mod.kind is ModulationKind.RAMP:
+            yield from self._piecewise(bounds, t0, end, self._flash_factor)
+        elif mod.kind is ModulationKind.RAMP:
             bounds = [
                 (0.0, mod.at_s),
                 (mod.at_s, mod.at_s + mod.ramp_s),
                 (mod.at_s + mod.ramp_s, _TAIL_S),
             ]
-            return self._piecewise(bounds, t0, end, self._ramp_factor)
-        raise AssertionError(f"unhandled modulation {mod.kind}")
+            yield from self._piecewise(bounds, t0, end, self._ramp_factor)
+        else:
+            raise AssertionError(f"unhandled modulation {mod.kind}")
 
-    def _piecewise(self, bounds, t0, end, factor_fn):
+    def _piecewise(
+        self, bounds, t0, end, factor_fn
+    ) -> Iterator[Tuple[float, float, float]]:
         """Discretize linear-ramp phases into ``steps`` constant slots."""
         mod = self.spec.modulation
         base = self.spec.rate
-        out: List[Tuple[float, float, float]] = []
         for lo, hi in bounds:
             if hi <= t0 or lo >= end:
                 continue
@@ -154,8 +164,7 @@ class ArrivalProcess:
                 s, e = lo + k * slot, lo + (k + 1) * slot
                 s2, e2 = max(s, t0), min(e, end)
                 if e2 > s2:
-                    out.append((s2, e2, base * factor_fn(0.5 * (s + e))))
-        return out
+                    yield (s2, e2, base * factor_fn(0.5 * (s + e)))
 
     def _flash_factor(self, t: float) -> float:
         mod = self.spec.modulation
@@ -182,8 +191,9 @@ class ArrivalProcess:
     def rate_at(self, t: float) -> float:
         """Envelope rate at absolute time ``t`` (piecewise-constant,
         consistent with :meth:`segments`)."""
-        segs = self.segments(t, 1e-9)
-        return segs[0][2] if segs else 0.0
+        for _start, _end, rate in self.iter_segments(t, 1e-9):
+            return rate
+        return 0.0
 
     def peak_rate(self) -> float:
         """Supremum of the envelope over all time."""
@@ -264,8 +274,11 @@ class ArrivalProcess:
     def _segments_forever(
         self, t0: float, chunk_s: float = 64.0
     ) -> Iterator[Tuple[float, float, float]]:
+        # Chunked so segment bounds (and hence the deterministic
+        # stream's credit arithmetic) do not depend on how far the
+        # consumer reads; each chunk is itself streamed lazily.
         for i in itertools.count():
-            yield from self.segments(t0 + i * chunk_s, chunk_s)
+            yield from self.iter_segments(t0 + i * chunk_s, chunk_s)
 
     def times(self, t0: float, horizon_s: float) -> List[float]:
         """Finite list of arrivals in ``[t0, t0 + horizon_s)``."""

@@ -13,6 +13,7 @@ from repro.des import (
     SimQueue,
     Simulator,
     Timeout,
+    WakeAt,
 )
 
 
@@ -238,3 +239,87 @@ class TestLocks:
         sim.spawn(bad())
         with pytest.raises(RuntimeError, match="does not hold"):
             sim.run_until(1.0)
+
+
+class TestWakeAt:
+    def test_resumes_at_absolute_time(self):
+        sim = Simulator()
+        log = []
+
+        def proc():
+            yield 0.25
+            yield WakeAt(1.0)
+            log.append(sim.now)
+
+        sim.spawn(proc())
+        sim.run_until(5.0)
+        assert log == [1.0]
+
+    def test_wake_in_the_past_rejected(self):
+        sim = Simulator()
+
+        def proc():
+            yield 1.0
+            yield WakeAt(0.5)
+
+        sim.spawn(proc())
+        with pytest.raises(ValueError):
+            sim.run_until(5.0)
+
+    def test_ties_follow_entries_already_scheduled(self):
+        sim = Simulator()
+        log = []
+
+        def early():
+            yield 2.0
+            log.append("early")
+
+        def waker():
+            yield WakeAt(2.0)
+            log.append("waker")
+
+        sim.spawn(early())
+        sim.spawn(waker())
+        sim.run_until(5.0)
+        assert log == ["early", "waker"]
+
+
+class TestHorizon:
+    def test_run_until_publishes_its_end(self):
+        sim = Simulator()
+        seen = []
+
+        def proc():
+            while True:
+                seen.append(sim.horizon)
+                yield 1.0
+
+        sim.spawn(proc())
+        sim.run_until(2.5)
+        sim.run_until(4.0)
+        assert seen == [2.5, 2.5, 2.5, 4.0, 4.0]
+
+    def test_budgeted_stride_has_no_horizon(self):
+        # A stride may stop at any event, so nothing may be folded.
+        sim = Simulator()
+        seen = []
+
+        def proc():
+            while True:
+                seen.append(sim.horizon)
+                yield 1.0
+
+        sim.spawn(proc())
+        sim.run_until(10.0, max_events=2)
+        assert seen == [float("-inf")] * 2
+
+    def test_next_event_time(self):
+        sim = Simulator()
+        assert sim.next_event_time == float("inf")
+
+        def proc():
+            yield 3.0
+
+        sim.spawn(proc())
+        sim.run_until(1.0)
+        assert sim.next_event_time == 3.0

@@ -4,6 +4,8 @@ saturates."""
 
 from __future__ import annotations
 
+import itertools
+
 import pytest
 
 from repro.des.engine import DesEngine, measure_throughput
@@ -176,3 +178,96 @@ class TestValidation:
                 0,
                 arrivals={2: iter([0.0])},
             )
+
+
+def _dyadic_arrivals(step=2.0**-10):
+    # Exactly representable due times, so chained dispatch times equal
+    # them bit for bit and ties with other events are exact.
+    return (k * step for k in itertools.count(1))
+
+
+def _drop_engine():
+    graph = _graph()
+    engine = DesEngine(
+        graph,
+        laptop(1),
+        QueuePlacement.of([1]),
+        0,
+        queue_capacity=1,
+        arrivals={graph.sources[0].index: _dyadic_arrivals()},
+        overflow="drop",
+    )
+    engine.start()
+    return engine
+
+
+class TestDropRunCoalescing:
+    """A drop source that holds no core sheds runs of arrivals inline,
+    with the counts and timing of one event per arrival."""
+
+    STEP = 2.0**-10
+
+    def test_counts_split_at_the_run_until_horizon(self):
+        # No scheduler thread drains the ingress: after the first
+        # admission every arrival is shed.
+        engine = _drop_engine()
+        engine.sim.run_until(10.5 * self.STEP)
+        assert engine._offered_count == 10.0
+        assert engine._dropped_count == 9.0
+        assert engine._source_count == 1.0
+        # One admission event plus a handful of wakes, not one event
+        # per shed arrival.
+        assert engine.sim.events_processed <= 5
+        engine.sim.run_until(20.5 * self.STEP)
+        assert engine._offered_count == 20.0
+        assert engine._dropped_count == 19.0
+
+    def test_run_stops_before_a_tie_with_a_pending_event(self):
+        # A drainer frees the ingress at exactly the fifth arrival's
+        # due time.  It was scheduled first, so it runs first and the
+        # fifth arrival is admitted, exactly as with one event per
+        # arrival.
+        engine = _drop_engine()
+        sim = engine.sim
+        ingress = engine._queues[1]
+
+        def drainer():
+            yield 5 * self.STEP
+            sim.pop_nowait(ingress)
+
+        sim.spawn(drainer())
+        sim.run_until(5.5 * self.STEP)
+        assert engine._offered_count == 5.0
+        assert engine._source_count == 2.0
+        assert engine._dropped_count == 3.0
+        sim.run_until(20.5 * self.STEP)
+        assert engine._offered_count == 20.0
+        assert engine._source_count == 2.0
+        assert engine._dropped_count == 18.0
+
+
+class TestHelpPath:
+    def test_fast_consumers_are_helped_without_region_work(self):
+        # Every region of the unlocked pipeline is fast, so each help
+        # is one coalesced advance; no _region_work generator is made.
+        hub = ObservabilityHub()
+        engine = DesEngine(
+            pipeline(6, cost_flops=1000.0, payload_bytes=128),
+            laptop(4),
+            QueuePlacement.of([1, 3]),
+            0,
+            queue_capacity=4,
+            obs=hub,
+        )
+        calls = []
+        region_work = engine._region_work
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return region_work(*args, **kwargs)
+
+        engine._region_work = counting
+        result = engine.run(warmup_s=0.001, measure_s=0.004)
+        assert result.sink_tuples > 0
+        assert hub.registry.get("des.backpressure_helps").value > 0
+        assert calls == []

@@ -229,6 +229,28 @@ class TestNumericValidation:
         (line,) = [ln for ln in err.splitlines() if "error:" in ln]
         assert f"argument {argv[-2]}" in line
 
+    @pytest.mark.parametrize(
+        "output", ["missing-dir/trace.jsonl", "."], ids=["no-dir", "dir"]
+    )
+    def test_trace_output_unwritable(
+        self, output, tmp_path, monkeypatch, capsys
+    ):
+        # Rejected at parse time: the replay never starts.
+        import repro.obs.trace_cli as trace_cli
+
+        def no_replay(*_args):
+            raise AssertionError("replay ran before --output was checked")
+
+        monkeypatch.setattr(trace_cli, "replay", no_replay)
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(["trace", "fig01", "--format", "jsonl", "--output", output])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        (line,) = [ln for ln in err.splitlines() if "error:" in ln]
+        assert "argument --output" in line
+
     def test_positive_values_parse(self):
         args = build_parser().parse_args(
             ["trace", "fig01", "--duration", "0.5", "--cores", "3"]
