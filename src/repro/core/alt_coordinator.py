@@ -29,7 +29,6 @@ from typing import Callable, List, Optional, Sequence
 
 from ..obs.hub import Obs, ensure_hub
 from ..runtime.config import ElasticityConfig
-from ..runtime.queues import QueuePlacement
 from .binning import ProfilingGroup
 from .coordinator import CoordinatorAction, _join_detail as _join
 from .history import Direction
@@ -82,14 +81,6 @@ class ThreadingPrimaryCoordinator:
         self._rule = ""
         self._detail = ""
         self._last_observed: Optional[float] = None
-        # Warm-start session (repro.core.warmstart); None = stock.
-        self._warm = None
-        # After a non-snap warm entry, one outer threading-model probe
-        # runs once the inner search settles — the model's placement
-        # must survive contact with a measurement, same as the primary
-        # design's retained exploration.
-        self._warm_probe_pending = False
-        self._suppress_next_trend = False
 
     # ------------------------------------------------------------------
     @property
@@ -102,11 +93,6 @@ class ThreadingPrimaryCoordinator:
 
     def mode_history(self) -> List[AltMode]:
         return list(self._mode_log)
-
-    def set_warm_start(self, session) -> None:
-        """Install (or clear, with None) the warm-start session —
-        the same surface as ``MultiLevelCoordinator.set_warm_start``."""
-        self._warm = session
 
     # ------------------------------------------------------------------
     def _new_inner_search(self) -> ThreadCountElasticity:
@@ -129,10 +115,8 @@ class ThreadingPrimaryCoordinator:
         mode_before = self.mode
         self._rule = ""
         self._detail = ""
-        suppress_trend = self._suppress_next_trend
-        self._suppress_next_trend = False
         action = self._step_impl(observed)
-        if self._last_observed is None or suppress_trend:
+        if self._last_observed is None:
             trend = Trend.FLAT
         else:
             trend = classify_trend(
@@ -159,9 +143,6 @@ class ThreadingPrimaryCoordinator:
     def _step_impl(self, observed: float) -> CoordinatorAction:
         if self.mode is AltMode.INIT:
             groups = list(self.profile_provider())
-            hint = self._warm.hint() if self._warm is not None else None
-            if hint is not None:
-                return self._apply_warm_hint(groups, hint)
             self.threading_model.set_groups(
                 groups, self.threading_model.placement()
             )
@@ -190,20 +171,8 @@ class ThreadingPrimaryCoordinator:
                 self._detail = self._tc.last_rule
                 self._tc = None
                 if not self.threading_model.phase_active:
-                    if self._warm_probe_pending:
-                        # Warm entry skipped the outer exploration;
-                        # give the model's placement one measured
-                        # threading-model pass before declaring
-                        # stability.
-                        self._warm_probe_pending = False
-                        step = self.threading_model.begin_phase(
-                            Direction.UP, settled_throughput
-                        )
-                        self._rule = "ALT-WARM-PROBE"
-                        return self._emit(step, settled_throughput)
                     self.mode = AltMode.STABLE
                     self._rule = "ALT-SETTLED"
-                    self._record_converged(settled_throughput)
                     return CoordinatorAction(note="settled")
                 step = self.threading_model.step(settled_throughput)
                 return self._emit(step, settled_throughput)
@@ -213,48 +182,6 @@ class ThreadingPrimaryCoordinator:
 
         self._rule = "ALT-STABLE"
         return CoordinatorAction(note="stable")
-
-    def _apply_warm_hint(self, groups, hint) -> CoordinatorAction:
-        """Seed both levels from a warm-start hint (see
-        ``MultiLevelCoordinator._apply_warm_hint``)."""
-        valid = {m for g in groups for m in g.members}
-        queued = [i for i in hint.queued if i in valid]
-        self.threading_model.set_groups(groups, QueuePlacement.of(queued))
-        placement = self.threading_model.placement()
-        level = max(
-            self.config.min_threads,
-            min(self.max_threads, hint.threads),
-        )
-        self._threads = level
-        self._suppress_next_trend = True
-        self._detail = _join(self._detail, f"warm-{hint.source}")
-        if hint.snap:
-            self.mode = AltMode.STABLE
-            self._rule = "ALT-WARM-SNAP"
-            return CoordinatorAction(
-                set_placement=placement,
-                set_threads=level,
-                note="warm snap",
-            )
-        self.mode = AltMode.INNER_THREADS
-        self._tc = self._new_inner_search()
-        self._tc.warm_start(level)
-        self._warm_probe_pending = True
-        self._rule = "ALT-WARM-START"
-        return CoordinatorAction(
-            set_placement=placement,
-            set_threads=level,
-            note="warm start + inner search",
-        )
-
-    def _record_converged(self, observed: float) -> None:
-        if self._warm is None:
-            return
-        self._warm.record(
-            threads=self._threads,
-            queued=tuple(sorted(self.threading_model.placement().queued)),
-            throughput=observed,
-        )
 
     def _emit(self, step: Step, observed: float) -> CoordinatorAction:
         if step.done:
@@ -275,7 +202,6 @@ class ThreadingPrimaryCoordinator:
             self._detail = _join(
                 self._detail, f"tm-{step.decision.value}"
             )
-            self._record_converged(observed)
             return CoordinatorAction(
                 set_placement=step.placement,
                 note=f"outer settled ({step.decision.value})",

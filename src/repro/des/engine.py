@@ -114,6 +114,27 @@ _CORE_SLICE = 32
 # compare the two).
 LOCKED_FAST = True
 
+# The des.* counters DesEngine.run() publishes from the engine's own
+# tallies (DesEngine._tallies()), with their descriptions.
+_TALLY_METRICS = {
+    "des.source_tuples": "tuples emitted by source regions",
+    "des.sink_tuples": "tuples consumed at sinks (expected)",
+    "des.queue_pushes": "tuples pushed into scheduler queues",
+    "des.idle_scans": "scheduler scans that found no work",
+    "des.backpressure_helps": (
+        "consumer regions executed inline by a blocked producer"
+    ),
+    "des.wakeups": "parked scheduler threads woken by queue activity",
+    "des.offered_tuples": "open-loop arrivals presented to source operators",
+    "des.dropped_tuples": "open-loop arrivals shed at a full ingress queue",
+    "des.batch_flushes": (
+        "coalesced burst events flushed through batched channels"
+    ),
+    "des.analytic_fastforward_events_saved": (
+        "simulator events elided by analytic fast-forwarding"
+    ),
+}
+
 # Processes may yield kernel Request objects or bare float delays.
 _Req = Generator[object, object, None]
 
@@ -422,59 +443,31 @@ class DesEngine:
         self._ff: Optional[FastForwarder] = None
         self._ff_queues: Tuple[SimQueue, ...] = ()
         self._ff_locks: Tuple[SimLock, ...] = ()
-        # Tuple-path metrics, bound once here; with no hub attached
-        # these are the shared null singletons (one no-op call per
-        # event), so detached runs measure identically.
+        # Event tallies with no DesResult field; like the counts above
+        # they are plain attributes, published to the hub by run().
+        self._idle_scans = 0
+        self._helps = 0
+        self._wakeups = 0
+        self._batch_flushes = 0
         hub = ensure_hub(obs)
         self._hub = hub
-        self._m_runs = hub.registry.counter(
+        reg = hub.registry
+        self._m_runs = reg.counter(
             "des.runs", "DES measurement runs completed"
         )
-        self._m_source = hub.registry.counter(
-            "des.source_tuples", "tuples emitted by source regions"
-        )
-        self._m_sink = hub.registry.counter(
-            "des.sink_tuples", "tuples consumed at sinks (expected)"
-        )
-        self._m_pushes = hub.registry.counter(
-            "des.queue_pushes", "tuples pushed into scheduler queues"
-        )
-        self._m_idle = hub.registry.counter(
-            "des.idle_scans", "scheduler scans that found no work"
-        )
-        self._m_helps = hub.registry.counter(
-            "des.backpressure_helps",
-            "consumer regions executed inline by a blocked producer",
-        )
-        self._m_parked = hub.registry.gauge(
+        self._m_tallies = {
+            name: reg.counter(name, doc)
+            for name, doc in _TALLY_METRICS.items()
+        }
+        self._m_parked = reg.gauge(
             "des.parked_threads",
-            "scheduler threads currently parked on empty queues",
+            "scheduler threads parked on empty queues when the run ended",
         )
-        self._m_wakeups = hub.registry.counter(
-            "des.wakeups",
-            "parked scheduler threads woken by queue activity",
-        )
-        self._m_offered = hub.registry.counter(
-            "des.offered_tuples",
-            "open-loop arrivals presented to source operators",
-        )
-        self._m_dropped = hub.registry.counter(
-            "des.dropped_tuples",
-            "open-loop arrivals shed at a full ingress queue",
-        )
-        self._m_batch_size = hub.registry.gauge(
+        reg.gauge(
             "des.batch_size",
             "configured channel batch size (tuples per coalesced event)",
-        )
-        self._m_batch_size.set(float(self.channel.batch_size))
-        self._m_batch_flushes = hub.registry.counter(
-            "des.batch_flushes",
-            "coalesced burst events flushed through batched channels",
-        )
-        self._m_ff_saved = hub.registry.counter(
-            "des.analytic_fastforward_events_saved",
-            "simulator events elided by analytic fast-forwarding",
-        )
+        ).set(float(self.channel.batch_size))
+        self._published = self._tallies()
 
     # ------------------------------------------------------------------
     # process bodies
@@ -692,10 +685,8 @@ class DesEngine:
                     pending = 0.0
             if sink_n:
                 self._sink_count += sink_n
-                self._m_sink.inc(sink_n)
         if count_source:
             self._source_count += 1.0
-            self._m_source.inc()
         if registry is not None:
             registry.set_current(thread_name, None)
         push_credit = self._push_credit
@@ -708,9 +699,7 @@ class DesEngine:
                 )
                 yield pending
                 pending = 0.0
-                if self.sim.put_nowait(queue, _TOKEN):
-                    self._m_pushes.inc()
-                else:
+                if not self.sim.put_nowait(queue, _TOKEN):
                     yield from self._push_with_help(
                         credit_key[1], queue, thread_name
                     )
@@ -754,7 +743,7 @@ class DesEngine:
                 sim.release_nowait(port)
                 break
             sim.pop_nowait(queue)
-            self._m_helps.inc()
+            self._helps += 1
             if help_ is None:
                 yield from self._region_work(
                     consumer,
@@ -777,7 +766,6 @@ class DesEngine:
             for dt, sinks, locks, state, foldable in help_.steps:
                 for sink_n in sinks:
                     self._sink_count += sink_n
-                    self._m_sink.inc(sink_n)
                 for lk in locks:
                     lk.acquisitions += 1
                 busy += dt
@@ -799,20 +787,16 @@ class DesEngine:
                 busy = busy_s.get(thread_name, 0.0)
             for sink_n in help_.tail_sinks:
                 self._sink_count += sink_n
-                self._m_sink.inc(sink_n)
             if registry is not None:
                 registry.set_current(thread_name, None)
             push = plan.push
             if push is not None:
                 pqueue, pqueue_op, _cost = push
-                if sim.put_nowait(pqueue, _TOKEN):
-                    self._m_pushes.inc()
-                else:
+                if not sim.put_nowait(pqueue, _TOKEN):
                     yield from self._push_with_help(
                         pqueue_op, pqueue, thread_name
                     )
             sim.release_nowait(port)
-        self._m_pushes.inc()
         if not self.sim.put_nowait(queue, _TOKEN):
             yield Put(queue, _TOKEN)  # pragma: no cover - defensive
 
@@ -874,7 +858,7 @@ class DesEngine:
                 )
                 slice_left -= b
                 dt = plan.burst_src[b]
-                self._m_batch_flushes.inc()
+                self._batch_flushes += 1
                 if publish is not None and prof_bounds is not None:
                     publish.set_interval(
                         name, sim.now, prof_bounds, prof_ops, b
@@ -885,9 +869,7 @@ class DesEngine:
                     busy_s[name] = busy_s.get(name, 0.0) + dt
                     yield dt
                     for _ in range(b):
-                        if sim.put_nowait(queue, _TOKEN):
-                            self._m_pushes.inc()
-                        else:
+                        if not sim.put_nowait(queue, _TOKEN):
                             yield from self._push_with_help(
                                 queue_op, queue, name
                             )
@@ -896,11 +878,9 @@ class DesEngine:
                     yield dt
                 if plan.sink_total:
                     self._sink_count += plan.sink_total * b
-                    self._m_sink.inc(plan.sink_total * b)
                 for lk in plan.lock_acq:
                     lk.acquisitions += b
                 self._source_count += b
-                self._m_source.inc(b)
             else:
                 slice_left -= 1
                 yield from self._region_work(
@@ -972,7 +952,6 @@ class DesEngine:
         push = plan.push
         sink_total = plan.sink_total
         lock_acq = plan.lock_acq
-        m_offered = self._m_offered
         slice_left = 0
         arrivals = iter(arrivals)
         pending: Optional[float] = None
@@ -998,7 +977,6 @@ class DesEngine:
                         sim.put_nowait(core_pool, _TOKEN)
                     yield wait
             self._offered_count += 1.0
-            m_offered.inc()
             if drop and (
                 len(single.items) >= single.capacity
                 if single is not None
@@ -1006,7 +984,6 @@ class DesEngine:
             ):
                 # Ingress shed: the arrival never enters the PE.
                 self._dropped_count += 1.0
-                self._m_dropped.inc()
                 if slice_left <= 0:
                     pending, wake = self._shed_run(arrivals)
                     if wake is not None:
@@ -1046,10 +1023,9 @@ class DesEngine:
                             break
                         b += 1
                         self._offered_count += 1.0
-                        m_offered.inc()
                 slice_left -= b
                 dt = burst_src[b]
-                self._m_batch_flushes.inc()
+                self._batch_flushes += 1
                 if publish is not None and prof_bounds is not None:
                     publish.set_interval(
                         name, sim.now, prof_bounds, prof_ops, b
@@ -1059,9 +1035,7 @@ class DesEngine:
                     busy_s[name] = busy_s.get(name, 0.0) + dt
                     yield dt
                     for _ in range(b):
-                        if sim.put_nowait(queue, _TOKEN):
-                            self._m_pushes.inc()
-                        else:
+                        if not sim.put_nowait(queue, _TOKEN):
                             yield from self._push_with_help(
                                 queue_op, queue, name
                             )
@@ -1070,11 +1044,9 @@ class DesEngine:
                     yield dt
                 if sink_total:
                     self._sink_count += sink_total * b
-                    self._m_sink.inc(sink_total * b)
                 for lk in lock_acq:
                     lk.acquisitions += b
                 self._source_count += b
-                self._m_source.inc(b)
             else:
                 slice_left -= 1
                 yield from self._region_work(
@@ -1128,8 +1100,6 @@ class DesEngine:
         if n:
             self._offered_count += n
             self._dropped_count += n
-            self._m_offered.inc(n)
-            self._m_dropped.inc(n)
         return due, wake
 
     def _scheduler_thread(self, thread_id: int) -> _Req:
@@ -1191,7 +1161,7 @@ class DesEngine:
                         break
                     executing_elsewhere = True
             if claim is None:
-                self._m_idle.inc()
+                self._idle_scans += 1
                 # An idle thread surrenders the rest of its timeslice.
                 slice_left = 0
                 sim.put_nowait(core_pool, _TOKEN)
@@ -1204,10 +1174,8 @@ class DesEngine:
                     yield scan + _IDLE_BACKOFF_S
                 else:
                     # Every queue empty: park until the next push.
-                    self._m_parked.inc()
                     yield park
-                    self._m_parked.dec()
-                    self._m_wakeups.inc()
+                    self._wakeups += 1
                 continue
             # The scan checked the port synchronously, so the claim
             # cannot fail and nothing has to yield: take port and
@@ -1238,7 +1206,7 @@ class DesEngine:
                         sim.pop_nowait(queue)
                     slice_left -= k
                     dt = plan.burst_sched[k]
-                    self._m_batch_flushes.inc()
+                    self._batch_flushes += 1
                     if (
                         publish is not None
                         and plan.prof_bounds_sched is not None
@@ -1256,9 +1224,7 @@ class DesEngine:
                         busy_s[name] = busy_s.get(name, 0.0) + dt
                         yield dt
                         for _ in range(k):
-                            if sim.put_nowait(pqueue, _TOKEN):
-                                self._m_pushes.inc()
-                            else:
+                            if not sim.put_nowait(pqueue, _TOKEN):
                                 yield from self._push_with_help(
                                     pqueue_op, pqueue, name
                                 )
@@ -1267,7 +1233,6 @@ class DesEngine:
                         yield dt
                     if plan.sink_total:
                         self._sink_count += plan.sink_total * k
-                        self._m_sink.inc(plan.sink_total * k)
                     for lk in plan.lock_acq:
                         lk.acquisitions += k
                     if (
@@ -1435,7 +1400,7 @@ class DesEngine:
         )
 
     def _ff_extrapolate(
-        self, before: Tuple, after: Tuple, scale: float, saved: int
+        self, before: Tuple, after: Tuple, scale: float
     ) -> None:
         """Advance every counter analytically by ``scale`` probe spans.
 
@@ -1443,32 +1408,19 @@ class DesEngine:
         settled window; each counter moves by its probe delta times
         ``scale`` (the remaining window span over the probe span) —
         the steady rate extended over the skipped stretch.  Integer
-        counters round to the nearest whole event.  Event-counting
-        observability metrics (idle scans, wakeups, batch flushes)
-        intentionally keep counting *executed* events only —
-        ``des.analytic_fastforward_events_saved`` accounts for the
-        elided ones.
+        counters round to the nearest whole event.  Event tallies
+        (idle scans, wakeups, helps, batch flushes) intentionally keep
+        counting *executed* events only — the kernel's
+        ``events_fastforwarded`` accounts for the elided ones.
         """
-        d_sink = scale * (after[0] - before[0])
-        d_source = scale * (after[1] - before[1])
-        self._sink_count += d_sink
-        self._source_count += d_source
-        if d_sink:
-            self._m_sink.inc(d_sink)
-        if d_source:
-            self._m_source.inc(d_source)
+        self._sink_count += scale * (after[0] - before[0])
+        self._source_count += scale * (after[1] - before[1])
         d_put = np.rint(scale * (after[2] - before[2])).astype(np.int64)
         d_got = np.rint(scale * (after[3] - before[3])).astype(np.int64)
         d_acq = np.rint(scale * (after[4] - before[4])).astype(np.int64)
-        core_pool = self._core_pool
-        d_pushes = 0
         for q, dp, dg in zip(self._ff_queues, d_put, d_got):
             q.total_put += int(dp)
             q.total_got += int(dg)
-            if q is not core_pool:
-                d_pushes += int(dp)
-        if d_pushes:
-            self._m_pushes.inc(d_pushes)
         for lk, da in zip(self._ff_locks, d_acq):
             lk.acquisitions += int(da)
         busy_s = self._busy_s
@@ -1477,15 +1429,8 @@ class DesEngine:
             delta = b1 - busy0.get(name, 0.0)
             if delta:
                 busy_s[name] = busy_s.get(name, 0.0) + scale * delta
-        d_offered = scale * (after[6] - before[6])
-        d_dropped = scale * (after[7] - before[7])
-        self._offered_count += d_offered
-        self._dropped_count += d_dropped
-        if d_offered:
-            self._m_offered.inc(d_offered)
-        if d_dropped:
-            self._m_dropped.inc(d_dropped)
-        self._m_ff_saved.inc(saved)
+        self._offered_count += scale * (after[6] - before[6])
+        self._dropped_count += scale * (after[7] - before[7])
 
     def _ff_skip_arrivals(self, t: float) -> None:
         """Re-anchor every arrival schedule after a clock jump.
@@ -1500,6 +1445,27 @@ class DesEngine:
         for stream in self._arrivals.values():
             stream.skip_to(t)
 
+    def _tallies(self) -> Dict[str, float]:
+        """The current value of every tally a ``des.*`` counter
+        publishes.  Queue pushes are the scheduler queues' ``total_put``
+        (the core pool is not a scheduler queue)."""
+        return {
+            "des.source_tuples": self._source_count,
+            "des.sink_tuples": self._sink_count,
+            "des.queue_pushes": sum(
+                q.total_put for q in self._queues.values()
+            ),
+            "des.idle_scans": self._idle_scans,
+            "des.backpressure_helps": self._helps,
+            "des.wakeups": self._wakeups,
+            "des.offered_tuples": self._offered_count,
+            "des.dropped_tuples": self._dropped_count,
+            "des.batch_flushes": self._batch_flushes,
+            "des.analytic_fastforward_events_saved": (
+                self.sim.events_fastforwarded
+            ),
+        }
+
     # ------------------------------------------------------------------
     def run(
         self, warmup_s: float = 0.002, measure_s: float = 0.01
@@ -1510,17 +1476,38 @@ class DesEngine:
         see :meth:`Simulator.run_until`), the returned result carries
         ``deadlocked=True`` instead of silently reporting a deflated
         throughput over a window in which nothing ran.
+
+        The ``des.*`` hub counters are published here, from the
+        engine's own tallies: the warm-up's just before the window
+        resets them, the window's at the end.  ``des.parked_threads``
+        is set to the scheduler threads parked when the run ends.
         """
+
+        def publish() -> None:
+            # Each tally's growth since the last publication.
+            tallies = self._tallies()
+            for name, now in tallies.items():
+                then = self._published[name]
+                if now != then:
+                    self._m_tallies[name].inc(now - then)
+            self._published = tallies
+
         if not self._started:
             self.start()
         self._run_until(self.sim.now + warmup_s)
+        publish()
         self._sink_count = 0.0
         self._source_count = 0.0
         self._offered_count = 0.0
         self._dropped_count = 0.0
+        self._published = self._tallies()
         self._busy_s.clear()
         start = self.sim.now
         self._run_until(start + measure_s)
+        publish()
+        # A scheduler thread parks on every queue at once.
+        queues = self._queues.values()
+        self._m_parked.set(max((len(q.parked) for q in queues), default=0))
         window = self.sim.now - start
         occupancy = tuple(
             (idx, len(q)) for idx, q in sorted(self._queues.items())

@@ -58,9 +58,6 @@ ALT_BRANCHES: FrozenSet[str] = frozenset(
         "ALT-SETTLED",
         "ALT-STABLE",
         "ALT-HOLD",
-        "ALT-WARM-START",  # warm hint seeded placement + inner search
-        "ALT-WARM-SNAP",  # phase-store posterior snapped straight to STABLE
-        "ALT-WARM-PROBE",  # post-warm outer threading-model check
     }
 )
 

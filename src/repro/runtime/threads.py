@@ -40,11 +40,6 @@ from ..obs.hub import Obs, ensure_hub
 
 IDLE: Optional[int] = None
 
-# One repeating cycle of a merged time advance: per-segment cumulative
-# end offsets (strictly covering (0, cycle]) and the operator index each
-# segment attributes to (None = non-operator work such as push copies).
-IntervalCycle = Tuple[Tuple[float, ...], Tuple[Optional[int], ...]]
-
 
 @dataclass
 class ThreadState:
@@ -121,11 +116,6 @@ class ThreadRegistry:
         state.interval_bounds = bounds
         state.interval_ops = ops
 
-    def clear_interval(self, name: str) -> None:
-        state = self._threads[name]
-        state.interval_bounds = None
-        state.interval_ops = None
-
     def snapshot(
         self, now: Optional[float] = None
     ) -> Tuple[Tuple[str, Optional[int]], ...]:
@@ -150,10 +140,6 @@ class ThreadRegistry:
                 self.interval_attributions += 1
             out.append((state.name, operator))
         return tuple(out)
-
-    @property
-    def thread_names(self) -> Tuple[str, ...]:
-        return tuple(self._threads)
 
     def __len__(self) -> int:
         return len(self._threads)

@@ -75,7 +75,7 @@ def _window_keys():
                     yield name, compiled, queued, threads, t0, profiled
 
 
-def _run_window(compiled, queued, threads, t0, profiled):
+def _run_window(compiled, queued, threads, t0, profiled, obs=None):
     run = compiled.scenario.run
     engine = DesEngine(
         compiled.graph,
@@ -86,6 +86,7 @@ def _run_window(compiled, queued, threads, t0, profiled):
         arrivals=compiled.arrival_streams(t0) if t0 is not None else None,
         overflow=compiled.overflow,
         channel=compiled.channel,
+        obs=obs,
     )
     profiler = None
     if profiled:
