@@ -21,7 +21,6 @@ from _bench_util import record, record_json, run_once
 
 from repro.bench.figures import fig10_data_parallel
 from repro.bench.reporting import throughput_rates
-from repro.des.channels import ChannelConfig
 from repro.des.engine import DesEngine
 from repro.graph.topologies import pipeline
 from repro.perfmodel.machine import laptop
@@ -57,38 +56,17 @@ MIN_EVENTS_PER_S = 100_000.0
 # back toward per-event closures.
 WALL_SPEEDUP_FLOOR = 2.5
 
-# Fast-forwarded benchmark: a long closed-loop window where the
-# steady-rate extrapolation should do nearly all the work.  The
-# reference box delivers ~27M sink tuples/s wall (~3.4M/s/core);
-# the ISSUE target is >= 1M/s/core.
-FF_MEASURE_S = 1.0
-MIN_FF_SINK_TUPLES_PER_S_WALL_PER_CORE = 1_000_000.0
-
-
-def _make_engine(channel=None):
-    graph = pipeline(8, cost_flops=2000.0, payload_bytes=128)
-    machine = laptop(cores=CORES)
-    return DesEngine(
-        graph,
-        machine,
-        QueuePlacement.full(graph),
-        scheduler_threads=8,
-        channel=channel,
-    )
-
 
 def _run_profiled_scenario():
-    engine = _make_engine()
+    graph = pipeline(8, cost_flops=2000.0, payload_bytes=128)
+    engine = DesEngine(
+        graph,
+        laptop(cores=CORES),
+        QueuePlacement.full(graph),
+        scheduler_threads=8,
+    )
     t0 = time.perf_counter()
     result = engine.run(warmup_s=WARMUP_S, measure_s=MEASURE_S)
-    wall = time.perf_counter() - t0
-    return engine, result, wall
-
-
-def _run_fastforward_scenario():
-    engine = _make_engine(channel=ChannelConfig(fastforward=True))
-    t0 = time.perf_counter()
-    result = engine.run(warmup_s=WARMUP_S, measure_s=FF_MEASURE_S)
     wall = time.perf_counter() - t0
     return engine, result, wall
 
@@ -177,80 +155,4 @@ def test_des_kernel_fast_path(benchmark):
         0.8 * BASELINE["sink_tuples_per_s"]
         <= result.sink_tuples_per_s
         <= 1.25 * BASELINE["sink_tuples_per_s"]
-    )
-
-
-def test_des_kernel_batched_fastforward(benchmark):
-    """Batched channels + analytic fast-forward on a 1 s window.
-
-    Same graph and machine as the fast-path benchmark, but with
-    ``ChannelConfig(fastforward=True)`` and a 100x longer measured
-    window: the steady-rate extrapolator should probe briefly, then
-    jump the rest of the window analytically.  Asserts the headline
-    ISSUE target — at least 1M sink tuples per wall-second per core —
-    and that the measurement it extrapolates agrees with the
-    event-by-event benchmark's sink rate.
-    """
-    engine, result, wall = run_once(
-        benchmark, _run_fastforward_scenario
-    )
-    rates = throughput_rates(
-        result.sink_tuples, FF_MEASURE_S, wall, cores=CORES
-    )
-    saved = engine.sim.events_fastforwarded
-    record_json(
-        "BENCH_des",
-        {
-            "batched_fastforward": {
-                "scenario": (
-                    "pipeline(8 ops, 2000 FLOPs, 128 B) | "
-                    "placement=full | 8 scheduler threads | "
-                    "laptop(8 cores) | 1 s measured | "
-                    "channel(batch=8, fastforward)"
-                ),
-                "wall_s": round(wall, 4),
-                "events_executed": engine.sim.events_processed,
-                "events_fastforwarded": saved,
-                "ff_jumps": engine._ff.jumps if engine._ff else 0,
-                **rates,
-            }
-        },
-        merge=True,
-    )
-    record(
-        "des_kernel_batched_fastforward",
-        "\n".join(
-            [
-                "DES kernel batched fast-forward -- 1 s window",
-                f"  wall              {wall:8.3f} s",
-                f"  sink tuples       {result.sink_tuples:14,.0f}",
-                f"  sink/s (sim)      "
-                f"{rates['sink_tuples_per_s_sim']:14,.0f}",
-                f"  sink/s (wall)     "
-                f"{rates['sink_tuples_per_s_wall']:14,.0f}",
-                f"  sink/s/core (wall)"
-                f"{rates['sink_tuples_per_s_wall_per_core']:14,.0f}",
-                f"  events saved      {saved:14,d}",
-            ]
-        ),
-    )
-
-    assert not result.deadlocked
-    # The extrapolator actually fired: nearly all of the window's
-    # events were fast-forwarded rather than executed.
-    assert saved > 0, "fast-forward never engaged on a 1 s window"
-    assert (
-        rates["sink_tuples_per_s_wall_per_core"]
-        >= MIN_FF_SINK_TUPLES_PER_S_WALL_PER_CORE
-    ), (
-        f"{rates['sink_tuples_per_s_wall_per_core']:,.0f} sink "
-        f"tuples/s/core wall is below the 1M/s/core target"
-    )
-    # The extrapolated measurement must agree with the event-by-event
-    # kernel's: same scenario, same sink rate (in simulated time) to
-    # within the steady-state probe tolerance.
-    assert (
-        0.9 * BASELINE["sink_tuples_per_s"]
-        <= rates["sink_tuples_per_s_sim"]
-        <= 1.15 * BASELINE["sink_tuples_per_s"]
     )

@@ -25,9 +25,9 @@ def throughput_rates(
     the modeled system moves tuples) and the *wall* clock (how fast
     the simulator itself runs).  ``sink_tuples_per_s_sim`` is the
     quantity the paper's figures report; ``sink_tuples_per_s_wall`` is
-    simulator performance, the number batching and fast-forwarding
-    improve.  ``BENCH_des.json`` carries both, explicitly suffixed, so
-    neither is mistaken for the other.
+    simulator performance, the number batching improves.
+    ``BENCH_des.json`` carries both, explicitly suffixed, so neither is
+    mistaken for the other.
     """
     if measure_s <= 0 or wall_s <= 0 or cores < 1:
         raise ValueError(

@@ -3,7 +3,6 @@
 from .adaptation import DesAdaptationResult, DesAdaptationRunner
 from .channels import DEFAULT_CHANNEL, ChannelConfig
 from .engine import DesEngine, DesResult, measure_throughput
-from .fastforward import FastForwarder
 from .kernel import (
     Acquire,
     Get,
@@ -25,7 +24,6 @@ __all__ = [
     "DesAdaptationRunner",
     "DesEngine",
     "DesResult",
-    "FastForwarder",
     "measure_throughput",
     "Acquire",
     "Get",

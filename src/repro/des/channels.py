@@ -36,21 +36,17 @@ Only the number of simulator events changes.
     round-robin work-finding fidelity for fewer events, so it is
     **excluded from the batched-vs-unbatched equivalence guarantee**
     and defaults to off.
-
-``fastforward``
-    Enable analytic fast-forwarding (:mod:`repro.des.fastforward`):
-    once a long closed-loop window demonstrably settles (consecutive
-    event probes measure the same counter rates), its remainder is
-    advanced analytically — one clock shift plus extrapolated
-    counters — instead of event by event.  Off by default; window
-    boundaries, transients, open-loop arrival schedules and attached
-    profilers always fall back to event granularity.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Optional, Tuple
+
+
+def _is_int(value: object) -> bool:
+    # bool is an int subclass, but True is not a batch size.
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -60,10 +56,9 @@ class ChannelConfig:
     batch_size: int = 8
     flush_timeout_s: Optional[float] = None
     prefetch: int = 0
-    fastforward: bool = False
 
     def __post_init__(self) -> None:
-        if not isinstance(self.batch_size, int) or self.batch_size < 1:
+        if not _is_int(self.batch_size) or self.batch_size < 1:
             raise ValueError(
                 f"batch_size must be an integer >= 1, "
                 f"got {self.batch_size!r}"
@@ -75,19 +70,14 @@ class ChannelConfig:
                 f"flush_timeout_s must be > 0 (or None), "
                 f"got {self.flush_timeout_s!r}"
             )
-        if not isinstance(self.prefetch, int) or self.prefetch < 0:
+        if not _is_int(self.prefetch) or self.prefetch < 0:
             raise ValueError(
                 f"prefetch must be an integer >= 0, got {self.prefetch!r}"
             )
 
     def key(self) -> Tuple:
         """Hashable identity for measurement-cache fingerprints."""
-        return (
-            self.batch_size,
-            self.flush_timeout_s,
-            self.prefetch,
-            self.fastforward,
-        )
+        return (self.batch_size, self.flush_timeout_s, self.prefetch)
 
     def max_burst(self, per_tuple_s: float) -> int:
         """Largest burst of tuples one event may carry at this cost.
@@ -103,6 +93,6 @@ class ChannelConfig:
 
 
 #: The engine default: the fast-path claim batching shipped by the DES
-#: fast-path rewrite (8 tuples per claim), no flush cap, no prefetch,
-#: no analytic fast-forward — byte-compatible with historical runs.
+#: fast-path rewrite (8 tuples per claim), no flush cap, no prefetch —
+#: byte-compatible with historical runs.
 DEFAULT_CHANNEL = ChannelConfig()

@@ -50,7 +50,6 @@ per-operator event granularity for cross-validation.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 from typing import (
@@ -72,7 +71,6 @@ from ..runtime.queues import QueuePlacement
 from ..runtime.regions import Region, decompose
 from ..runtime.threads import SnapshotProfiler, ThreadRegistry
 from .channels import DEFAULT_CHANNEL, ChannelConfig
-from .fastforward import FastForwarder
 from .kernel import (
     Acquire,
     Get,
@@ -129,9 +127,6 @@ _TALLY_METRICS = {
     "des.dropped_tuples": "open-loop arrivals shed at a full ingress queue",
     "des.batch_flushes": (
         "coalesced burst events flushed through batched channels"
-    ),
-    "des.analytic_fastforward_events_saved": (
-        "simulator events elided by analytic fast-forwarding"
     ),
 }
 
@@ -364,8 +359,8 @@ class DesEngine:
         ``"block"`` (stall behind backpressure, the closed-loop
         behaviour) or ``"drop"`` (shed the arrival and count it in
         ``des.dropped_tuples``).  ``channel`` configures the batched
-        channels (burst size, flush timeout, prefetch, analytic
-        fast-forward — see :class:`~repro.des.channels.ChannelConfig`);
+        channels (burst size, flush timeout, prefetch — see
+        :class:`~repro.des.channels.ChannelConfig`);
         ``None`` means :data:`~repro.des.channels.DEFAULT_CHANNEL`,
         byte-compatible with historical runs.  ``locked_fast`` opts a
         region with only uncontendable locks into the burst fast path
@@ -438,11 +433,6 @@ class DesEngine:
         self._profiler_period: Optional[float] = None
         self._profiler_sampled = True
         self._started = False
-        # Analytic fast-forward (built in start() when eligible) and
-        # the fixed object orders its state/counter snapshots walk.
-        self._ff: Optional[FastForwarder] = None
-        self._ff_queues: Tuple[SimQueue, ...] = ()
-        self._ff_locks: Tuple[SimLock, ...] = ()
         # Event tallies with no DesResult field; like the counts above
         # they are plain attributes, published to the hub by run().
         self._idle_scans = 0
@@ -1074,14 +1064,11 @@ class DesEngine:
         :class:`WakeAt` that dispatches it at the float time the chain
         would have produced; the caller then presents that arrival
         without waiting again.  With ``wake`` ``None`` the caller waits
-        for it as usual.  A budgeted stride (no horizon) sheds nothing
-        here, so fast-forward probes see one event per arrival.
+        for it as usual.
         """
         sim = self.sim
         bound = sim.next_event_time
         horizon = sim.horizon
-        if horizon == -math.inf:
-            return next(arrivals, None), None
         t = start = sim.now
         n = 0
         wake = None
@@ -1337,113 +1324,6 @@ class DesEngine:
                 )
         if self.profiler is not None:
             self.sim.spawn(self._profiler_proc(), name="profiler")
-        # Analytic fast-forward engages for unprofiled runs whose
-        # arrival schedules (if any) are steady and skippable: a plain
-        # arrival iterator is external state a clock shift cannot
-        # advance, but an :class:`~repro.scenarios.arrivals.
-        # ArrivalStream` over a flat envelope exposes ``skip_to`` so
-        # the jump re-anchors the schedule (see ``_ff_skip_arrivals``).
-        # A profiler must observe every sampling period —
-        # extrapolating over skipped stretches would leave holes in
-        # its attribution.
-        if (
-            self.channel.fastforward
-            and self.profiler is None
-            and all(
-                getattr(s, "steady", False) and hasattr(s, "skip_to")
-                for s in self._arrivals.values()
-            )
-        ):
-            self._ff_queues = (
-                tuple(self._queues[i] for i in self._queue_order)
-                + (self._core_pool,)
-            )
-            self._ff_locks = tuple(self._op_locks.values()) + tuple(
-                self._region_locks[i] for i in self._queue_order
-            )
-            self._ff = FastForwarder(self)
-
-    # ------------------------------------------------------------------
-    # analytic fast-forward hooks (see repro.des.fastforward)
-    # ------------------------------------------------------------------
-    def _run_until(self, t_end: float) -> None:
-        """Advance to ``t_end`` — through the fast-forwarder when one
-        is attached, at plain event granularity otherwise."""
-        if self._ff is not None:
-            self._ff.run_window(t_end)
-        else:
-            self.sim.run_until(t_end)
-
-    def _ff_counters(self) -> Tuple:
-        """Snapshot of every monotone counter steady execution advances.
-
-        The queue/lock integer counters come back as numpy vectors so
-        the extrapolation below is one vectorized scale-and-add per
-        family instead of a Python loop per object.
-        """
-        return (
-            self._sink_count,
-            self._source_count,
-            np.array(
-                [q.total_put for q in self._ff_queues], dtype=np.int64
-            ),
-            np.array(
-                [q.total_got for q in self._ff_queues], dtype=np.int64
-            ),
-            np.array(
-                [lk.acquisitions for lk in self._ff_locks],
-                dtype=np.int64,
-            ),
-            dict(self._busy_s),
-            self._offered_count,
-            self._dropped_count,
-        )
-
-    def _ff_extrapolate(
-        self, before: Tuple, after: Tuple, scale: float
-    ) -> None:
-        """Advance every counter analytically by ``scale`` probe spans.
-
-        ``before``/``after`` bracket the confirmation probes of a
-        settled window; each counter moves by its probe delta times
-        ``scale`` (the remaining window span over the probe span) —
-        the steady rate extended over the skipped stretch.  Integer
-        counters round to the nearest whole event.  Event tallies
-        (idle scans, wakeups, helps, batch flushes) intentionally keep
-        counting *executed* events only — the kernel's
-        ``events_fastforwarded`` accounts for the elided ones.
-        """
-        self._sink_count += scale * (after[0] - before[0])
-        self._source_count += scale * (after[1] - before[1])
-        d_put = np.rint(scale * (after[2] - before[2])).astype(np.int64)
-        d_got = np.rint(scale * (after[3] - before[3])).astype(np.int64)
-        d_acq = np.rint(scale * (after[4] - before[4])).astype(np.int64)
-        for q, dp, dg in zip(self._ff_queues, d_put, d_got):
-            q.total_put += int(dp)
-            q.total_got += int(dg)
-        for lk, da in zip(self._ff_locks, d_acq):
-            lk.acquisitions += int(da)
-        busy_s = self._busy_s
-        busy0 = before[5]
-        for name, b1 in after[5].items():
-            delta = b1 - busy0.get(name, 0.0)
-            if delta:
-                busy_s[name] = busy_s.get(name, 0.0) + scale * delta
-        self._offered_count += scale * (after[6] - before[6])
-        self._dropped_count += scale * (after[7] - before[7])
-
-    def _ff_skip_arrivals(self, t: float) -> None:
-        """Re-anchor every arrival schedule after a clock jump.
-
-        ``shift_time`` moves the simulator's future but not the
-        external arrival iterators; without this, the first post-jump
-        ``next()`` would return a long-past due time and the source
-        thread would replay the skipped stretch as one giant backlog
-        burst.  Eligibility (see :meth:`start`) guarantees every
-        stream here has ``skip_to``.
-        """
-        for stream in self._arrivals.values():
-            stream.skip_to(t)
 
     def _tallies(self) -> Dict[str, float]:
         """The current value of every tally a ``des.*`` counter
@@ -1461,9 +1341,6 @@ class DesEngine:
             "des.offered_tuples": self._offered_count,
             "des.dropped_tuples": self._dropped_count,
             "des.batch_flushes": self._batch_flushes,
-            "des.analytic_fastforward_events_saved": (
-                self.sim.events_fastforwarded
-            ),
         }
 
     # ------------------------------------------------------------------
@@ -1494,7 +1371,7 @@ class DesEngine:
 
         if not self._started:
             self.start()
-        self._run_until(self.sim.now + warmup_s)
+        self.sim.run_until(self.sim.now + warmup_s)
         publish()
         self._sink_count = 0.0
         self._source_count = 0.0
@@ -1503,7 +1380,7 @@ class DesEngine:
         self._published = self._tallies()
         self._busy_s.clear()
         start = self.sim.now
-        self._run_until(start + measure_s)
+        self.sim.run_until(start + measure_s)
         publish()
         # A scheduler thread parks on every queue at once.
         queues = self._queues.values()

@@ -164,29 +164,11 @@ class _Task:
     process: Process
     name: str
     alive: bool = True
-    # Stable small integer identity (spawn order), used by the event
-    # trace signatures (see Simulator.trace).
-    idx: int = 0
     # Queues whose park set currently contains this task (None when
     # the task is runnable or blocked on something else).
     parked_on: Optional[Tuple["SimQueue", ...]] = field(
         default=None, repr=False
     )
-
-
-# Trace signature codes (see Simulator.trace): how one dispatched event
-# left its task.  Together with the task index and the yielded payload
-# (timeout value, or target queue/lock identity) they fingerprint each
-# event compactly — a diagnostic surface for tests and tooling that
-# need to compare or characterize event streams.
-_SIG_DEAD = 0
-_SIG_TIMEOUT = 1
-_SIG_GET_BLOCKED = 2
-_SIG_PUT_BLOCKED = 3
-_SIG_ACQ_BLOCKED = 4
-_SIG_PARKED = 5
-_SIG_PARK_READY = 6
-_SIG_OTHER = 7
 
 
 class Simulator:
@@ -200,22 +182,11 @@ class Simulator:
         self._seq = itertools.count()
         self._tasks: List[_Task] = []
         self.events_processed = 0
-        # Events elided by analytic fast-forwarding (whole steady
-        # cycles applied as counter arithmetic instead of dispatch);
-        # never included in events_processed.
-        self.events_fastforwarded = 0
-        # When set (to a list), _advance appends one signature tuple
-        # (task_idx, code, payload) per dispatched event — an event-
-        # stream diagnostic for tests and tooling.  None (default)
-        # keeps the dispatch loop allocation-free.
-        self.trace: Optional[List[Tuple[int, int, Any]]] = None
         self.deadlocked = False
         self.deadlock_tasks: Tuple[str, ...] = ()
         # Latest time the current run_until call will dispatch: its
-        # t_end, or -inf under an event budget (a budgeted stride may
-        # stop at any event, so no process may fold future events
-        # into the present).  Processes that coalesce a chain of their
-        # own future events never fold one past it.
+        # t_end (-inf before the first call).  Processes that coalesce
+        # a chain of their own future events never fold one past it.
         self.horizon = -math.inf
         self._current: Optional[_Task] = None
         self._handlers = {
@@ -230,7 +201,7 @@ class Simulator:
     # ------------------------------------------------------------------
     def spawn(self, process: Process, name: str = "proc") -> _Task:
         """Register a generator process; it starts at the current time."""
-        task = _Task(process=process, name=name, idx=len(self._tasks))
+        task = _Task(process=process, name=name)
         self._tasks.append(task)
         heapq.heappush(self._heap, (self.now, next(self._seq), task, None))
         return task
@@ -243,17 +214,10 @@ class Simulator:
         )
 
     # ------------------------------------------------------------------
-    def run_until(
-        self, t_end: float, max_events: Optional[int] = None
-    ) -> int:
+    def run_until(self, t_end: float) -> int:
         """Process events until simulated time reaches ``t_end``.
 
-        With ``max_events`` given, dispatch stops after that many
-        events even if ``t_end`` has not been reached — the clock then
-        stays at the last dispatched event rather than jumping to
-        ``t_end``, so callers (the fast-forwarder) can interleave
-        bounded strides with analysis.  Returns the number of events
-        dispatched by this call.
+        Returns the number of events dispatched by this call.
 
         If the heap drains while live tasks remain (all of them blocked
         on queues, locks or parked — with no pending event that could
@@ -266,24 +230,13 @@ class Simulator:
         pop = heapq.heappop
         advance = self._advance
         n = 0
-        self.horizon = t_end if max_events is None else -math.inf
-        if max_events is None:
-            while heap and heap[0][0] <= t_end:
-                time, _seq, task, value = pop(heap)
-                self.now = time
-                advance(task, value)
-                n += 1
-        else:
-            while n < max_events and heap and heap[0][0] <= t_end:
-                time, _seq, task, value = pop(heap)
-                self.now = time
-                advance(task, value)
-                n += 1
+        self.horizon = t_end
+        while heap and heap[0][0] <= t_end:
+            time, _seq, task, value = pop(heap)
+            self.now = time
+            advance(task, value)
+            n += 1
         self.events_processed += n
-        if heap and heap[0][0] <= t_end:
-            # Stopped early on the event budget: leave the clock where
-            # dispatch stopped.
-            return n
         if not heap:
             stuck = tuple(t.name for t in self._tasks if t.alive)
             if stuck:
@@ -291,23 +244,6 @@ class Simulator:
                 self.deadlock_tasks = stuck
         self.now = max(self.now, t_end)
         return n
-
-    def shift_time(self, delta: float) -> None:
-        """Advance the clock and every pending event by ``delta``.
-
-        A uniform shift preserves heap order (times move together,
-        tie-breaking sequence numbers are untouched), so the future of
-        the simulation is exactly the future it had, ``delta`` seconds
-        later.  This is the primitive analytic fast-forwarding uses to
-        skip whole steady cycles.
-        """
-        if delta <= 0.0:
-            raise ValueError(f"shift_time needs delta > 0, got {delta}")
-        self.now += delta
-        self._heap[:] = [
-            (t + delta, seq, task, value)
-            for (t, seq, task, value) in self._heap
-        ]
 
     @property
     def pending_events(self) -> int:
@@ -410,14 +346,11 @@ class Simulator:
         now = self.now
         push = heapq.heappush
         send = task.process.send
-        trace = self.trace
         while True:
             try:
                 request = send(value)
             except StopIteration:
                 task.alive = False
-                if trace is not None:
-                    trace.append((task.idx, _SIG_DEAD, 0.0))
                 return
             cls = request.__class__
             # Hot path: bare numeric timeout — no request object at all.
@@ -427,13 +360,9 @@ class Simulator:
                         f"negative timeout {request} from {task.name}"
                     )
                 push(heap, (now + request, next(seq), task, None))
-                if trace is not None:
-                    trace.append((task.idx, _SIG_TIMEOUT, request))
                 return
             if cls is Timeout:
                 push(heap, (now + request.delay, next(seq), task, None))
-                if trace is not None:
-                    trace.append((task.idx, _SIG_TIMEOUT, request.delay))
                 return
             if cls is WakeAt:
                 if request.time < now:
@@ -442,10 +371,6 @@ class Simulator:
                         f"from {task.name}"
                     )
                 push(heap, (request.time, next(seq), task, None))
-                if trace is not None:
-                    trace.append(
-                        (task.idx, _SIG_TIMEOUT, request.time - now)
-                    )
                 return
             if cls is Get:
                 queue = request.queue
@@ -456,8 +381,6 @@ class Simulator:
                         self._unblock_putter(queue)
                     continue
                 queue.getters.append(task)
-                if trace is not None:
-                    trace.append((task.idx, _SIG_GET_BLOCKED, id(queue)))
                 return
             if cls is Put:
                 queue = request.queue
@@ -476,8 +399,6 @@ class Simulator:
                     value = None
                     continue
                 queue.putters.append((task, request.item))
-                if trace is not None:
-                    trace.append((task.idx, _SIG_PUT_BLOCKED, id(queue)))
                 return
             if cls is Acquire:
                 lock = request.lock
@@ -487,8 +408,6 @@ class Simulator:
                     value = None
                     continue
                 lock.waiters.append(task)
-                if trace is not None:
-                    trace.append((task.idx, _SIG_ACQ_BLOCKED, id(lock)))
                 return
             if cls is Release:
                 lock = request.lock
@@ -508,24 +427,12 @@ class Simulator:
                 continue
             if cls is ParkUntilNonEmpty:
                 self._handle_park_req(task, request)
-                if trace is not None:
-                    trace.append(
-                        (
-                            task.idx,
-                            _SIG_PARKED
-                            if task.parked_on is not None
-                            else _SIG_PARK_READY,
-                            0.0,
-                        )
-                    )
                 return
             # Tolerate subclasses of the request dataclasses (cold
             # path; resumption goes through the heap).
             for base, fallback in self._handlers.items():
                 if isinstance(request, base):
                     fallback(task, request)
-                    if trace is not None:
-                        trace.append((task.idx, _SIG_OTHER, 0.0))
                     return
             raise TypeError(
                 f"unknown request {request!r} from {task.name}"

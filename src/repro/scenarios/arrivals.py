@@ -37,7 +37,7 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Tuple
+from typing import Iterator, List, Tuple
 
 from .schema import ArrivalKind, ArrivalSpec, ModulationKind, ModulationSpec
 
@@ -290,10 +290,13 @@ class ArrivalProcess:
             out.append(t)
         return out
 
-    def arrival_stream(self, t0: float = 0.0) -> "ArrivalStream":
-        """The :class:`ArrivalStream` wrapper the DES engine consumes:
-        window-relative due times plus :meth:`ArrivalStream.skip_to`."""
-        return ArrivalStream(self, t0)
+    def arrival_stream(self, t0: float = 0.0) -> Iterator[float]:
+        """The schedule a DES measurement window consumes: ``t - t0``
+        for each ``t`` in :meth:`stream` (the window restarts its
+        simulation clock at zero, while the envelope is evaluated at
+        absolute scenario time)."""
+        for t in self.stream(t0):
+            yield t - t0
 
     def key(self) -> Tuple:
         """Hashable identity for measurement-cache keys."""
@@ -314,103 +317,3 @@ class ArrivalProcess:
             mod.hold_s,
             mod.factor,
         )
-
-
-class ArrivalStream:
-    """Window-relative arrival iterator with analytic skip-ahead.
-
-    The DES engine consumes arrival schedules as iterators of due
-    times on the *measurement window's* clock (the window restarts its
-    simulation clock at zero, while the envelope is evaluated at
-    absolute scenario time — see
-    :meth:`~repro.scenarios.compile.CompiledScenario.arrival_streams`).
-    This wrapper adds the one capability a bare generator cannot
-    offer: :meth:`skip_to`, which the analytic fast-forwarder calls
-    after a clock jump so the schedule resumes at the jump target
-    instead of replaying the skipped stretch arrival by arrival.
-
-    ``steady`` is True when the envelope is flat (no modulation) —
-    the precondition for fast-forward eligibility, since only a
-    constant-rate schedule can be rate-extrapolated.  For the steady
-    deterministic kind the skip is O(1): arrivals lie on the grid
-    ``t0 + k/rate``, so the iterator re-anchors at the first grid
-    point at or past the target.  Every other kind drains the
-    underlying stream (no simulator events, and the RNG consumes the
-    same draws it would have), preserving determinism.
-    """
-
-    __slots__ = (
-        "process",
-        "t0",
-        "steady",
-        "_iter",
-        "_pushback",
-        "_interval",
-        "_last_t",
-    )
-
-    def __init__(self, process: ArrivalProcess, t0: float = 0.0) -> None:
-        self.process = process
-        self.t0 = t0
-        self._iter = process.stream(t0)
-        self._pushback: Optional[float] = None
-        self._last_t = -math.inf
-        self.steady = process.spec.modulation.kind is ModulationKind.NONE
-        self._interval = (
-            1.0 / process.spec.rate
-            if (
-                self.steady
-                and process.spec.kind is ArrivalKind.DETERMINISTIC
-                and process.spec.rate > 0.0
-            )
-            else None
-        )
-
-    def __iter__(self) -> "ArrivalStream":
-        return self
-
-    def __next__(self) -> float:
-        if self._pushback is not None:
-            t, self._pushback = self._pushback, None
-        else:
-            t = next(self._iter)
-        self._last_t = t
-        return t - self.t0
-
-    def skip_to(self, rel_t: float) -> None:
-        """Drop every arrival due before window-relative ``rel_t``.
-
-        The next ``next()`` returns the first arrival at or after the
-        target.  Skipped arrivals are *not* replayed — the caller
-        (the fast-forwarder) has already accounted for them in its
-        counter extrapolation.
-        """
-        t_abs = self.t0 + rel_t
-        if self._pushback is not None:
-            if self._pushback >= t_abs:
-                return
-            self._pushback = None
-        if self._interval is not None:
-            # Re-anchor on the exact grid (t0 + k/rate).  The epsilon
-            # guard keeps credit-carry float drift in the target from
-            # skipping one extra slot past a near-boundary arrival.
-            k = math.ceil((t_abs - self.t0) / self._interval - 1e-9)
-            if self._last_t > -math.inf:
-                # Never rewind: a target behind the last drawn arrival
-                # resumes right after it (round soaks up the source
-                # generator's credit-carry float drift).
-                k_min = (
-                    round((self._last_t - self.t0) / self._interval) + 1
-                )
-                k = max(k, k_min)
-            self._iter = self._grid(max(1, k))
-            return
-        for t in self._iter:
-            if t >= t_abs:
-                self._pushback = t
-                return
-
-    def _grid(self, k0: int) -> Iterator[float]:
-        interval = self._interval
-        for k in itertools.count(k0):
-            yield self.t0 + k * interval

@@ -111,11 +111,8 @@ class CompiledScenario:
         restarts its simulation clock at zero — the yielded due times
         are therefore window-relative (``t - t0``).  Every source
         shares the same process spec but gets an independent iterator
-        (offset seeds keep multi-source scenarios decorrelated).
-
-        The iterators are :class:`~.arrivals.ArrivalStream` instances,
-        so steady (unmodulated) schedules expose ``skip_to`` and the
-        DES analytic fast-forwarder stays eligible under open loop.
+        (offset seeds keep multi-source scenarios decorrelated): see
+        :meth:`~.arrivals.ArrivalProcess.arrival_stream`.
         """
         if self.arrival_process is None:
             return {}
@@ -348,7 +345,6 @@ def compile_scenario(scenario: Scenario) -> CompiledScenario:
             else None
         ),
         prefetch=ch.prefetch,
-        fastforward=ch.fastforward,
     )
 
     job = None

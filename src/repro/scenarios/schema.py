@@ -26,7 +26,7 @@ Layers
 - :class:`RunSpec` — backend, seed, measurement windows, queue
   capacity and overflow policy.
 - :class:`ChannelSpec` — DES batched-channel knobs (batch size, flush
-  timeout, prefetch, analytic fast-forward).
+  timeout, prefetch).
 """
 
 from __future__ import annotations
@@ -296,15 +296,13 @@ class ChannelSpec:
     bounds the simulated span one burst event may cover (``None``
     leaves the batch size as the only bound), ``prefetch`` lets a
     scheduler thread drain extra batches from a claimed port before
-    rescanning (trades work-finding fidelity for fewer events), and
-    ``fastforward`` enables analytic fast-forwarding of settled
-    windows.  The defaults are byte-compatible with historical runs.
+    rescanning (trades work-finding fidelity for fewer events).  The
+    defaults are byte-compatible with historical runs.
     """
 
     batch_size: int = 8
     flush_timeout_ms: Optional[float] = None
     prefetch: int = 0
-    fastforward: bool = False
 
 
 # ----------------------------------------------------------------------
@@ -859,11 +857,7 @@ def _workload_from_dict(data: Any, path: str) -> WorkloadSpec:
 
 def _channel_from_dict(data: Any, path: str) -> ChannelSpec:
     data = _mapping(data, path)
-    _check_keys(
-        data,
-        path,
-        ("batch_size", "flush_timeout_ms", "prefetch", "fastforward"),
-    )
+    _check_keys(data, path, ("batch_size", "flush_timeout_ms", "prefetch"))
     return ChannelSpec(
         batch_size=_number(
             data.get("batch_size", 8),
@@ -885,9 +879,6 @@ def _channel_from_dict(data: Any, path: str) -> ChannelSpec:
             f"{path}.prefetch",
             integer=True,
             nonnegative=True,
-        ),
-        fastforward=_bool(
-            data.get("fastforward", False), f"{path}.fastforward"
         ),
     )
 

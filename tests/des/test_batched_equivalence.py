@@ -1,4 +1,4 @@
-"""Batched-vs-unbatched equivalence: decisions, memo cells, fast-forward.
+"""Batched-vs-unbatched equivalence: decisions and memo cells.
 
 Batching changes the *event granularity* of the simulation — how many
 tuples one kernel event carries — not the per-tuple costs, which the
@@ -10,12 +10,6 @@ suite asserts it is byte-identical across batch granularities on a
 sample of the scenario zoo, including open-loop arrival processes,
 drop/block overflow edges, profiled runs (``profile_from_execution``
 defaults on for every zoo scenario) and memoized measurement periods.
-
-The analytic fast-forwarder is held to a stricter standard: it is a
-pure simulator optimization, so FF-on vs FF-off must agree on the
-full R1-R5 decision sequence and the final configuration, and a
-window too short for the probes must fall back to byte-identical
-event-by-event execution.
 """
 
 from __future__ import annotations
@@ -76,16 +70,16 @@ class TestZooDecisionInvariance:
         assert _signature(wide) == _signature(declared)
 
 
-def _adaptation_run(channel, measure_s=0.004, profile=True):
+def _adaptation_run(channel):
     hub = ObservabilityHub()
     runner = DesAdaptationRunner(
         pipeline(8, cost_flops=4000.0, payload_bytes=128),
         laptop(4),
         RuntimeConfig(cores=4, seed=2),
         warmup_s=0.001,
-        measure_s=measure_s,
-        profile_from_execution=profile,
-        sampled_profiling=profile,
+        measure_s=0.004,
+        profile_from_execution=True,
+        sampled_profiling=True,
         obs=hub,
         channel=channel,
     )
@@ -147,56 +141,3 @@ class TestFlushTimeout:
                 (result.sink_tuples, engine.sim.events_processed)
             )
         assert results[0] == results[1]
-
-
-class TestFastForward:
-    def test_fastforward_decision_identity(self):
-        # Long unprofiled closed-loop windows: the extrapolator must
-        # engage (events saved) yet leave the R1-R5 decision sequence
-        # and the converged configuration untouched.
-        cache.clear()
-        ff, dec_ff, hub_ff = _adaptation_run(
-            ChannelConfig(fastforward=True),
-            measure_s=0.05,
-            profile=False,
-        )
-        cache.clear()
-        plain, dec_plain, _ = _adaptation_run(
-            ChannelConfig(),
-            measure_s=0.05,
-            profile=False,
-        )
-        saved = _counter(
-            hub_ff, "des.analytic_fastforward_events_saved"
-        )
-        assert saved > 0, "fast-forward never engaged on a 50 ms window"
-        assert dec_ff == dec_plain
-        assert ff.final_threads == plain.final_threads
-        assert (
-            ff.final_placement.n_queues == plain.final_placement.n_queues
-        )
-        assert ff.converged_throughput == pytest.approx(
-            plain.converged_throughput, rel=0.02
-        )
-
-    def test_short_window_falls_back_to_events(self):
-        # Windows too short for two steady probes run event-by-event:
-        # no jumps, and results byte-identical to fastforward=False.
-        cache.clear()
-        ff, dec_ff, hub_ff = _adaptation_run(
-            ChannelConfig(fastforward=True),
-            measure_s=0.004,
-            profile=False,
-        )
-        cache.clear()
-        plain, dec_plain, _ = _adaptation_run(
-            ChannelConfig(),
-            measure_s=0.004,
-            profile=False,
-        )
-        assert (
-            _counter(hub_ff, "des.analytic_fastforward_events_saved")
-            == 0.0
-        )
-        assert dec_ff == dec_plain
-        assert ff.converged_throughput == plain.converged_throughput

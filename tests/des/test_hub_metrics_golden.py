@@ -11,9 +11,7 @@ together with the full set of metric names the hub's registry holds.
 ``des.parked_threads`` is left out of the values: it is a gauge of the
 threads parked when the last run ended, not an accumulated tally.
 
-Values compare exactly.  Only a non-integer value may move, and then
-by at most 1e-12 relative: fast-forward extrapolation adds fractional
-deltas whose summation order is not part of the contract.
+Values compare exactly.
 
 Regenerate (only when a change is *meant* to move these metrics)::
 
@@ -23,7 +21,6 @@ Regenerate (only when a change is *meant* to move these metrics)::
 from __future__ import annotations
 
 import json
-import math
 from pathlib import Path
 
 import pytest
@@ -84,16 +81,7 @@ def current() -> dict:
 
 def _assert_matches(got: dict, want: dict, label: str) -> None:
     assert got["names"] == want["names"], label
-    assert sorted(got["values"]) == sorted(want["values"]), label
-    for name, value in want["values"].items():
-        actual = got["values"][name]
-        if float(value).is_integer():
-            assert actual == value, (label, name)
-        else:
-            assert math.isclose(actual, value, rel_tol=1e-12, abs_tol=0.0), (
-                label,
-                name,
-            )
+    assert got["values"] == want["values"], label
 
 
 @pytest.fixture(scope="module")

@@ -4,8 +4,8 @@ tallies, once per measurement run.
 - Attaching a hub never changes what the engine simulates: the same
   window run with an :class:`ObservabilityHub` and with the null hub
   gives an equal :class:`DesResult` and the same number of processed
-  events, closed loop, open loop under ``drop``, fast-forwarded and
-  with the sampled profiler attached.
+  events, closed loop, open loop under ``drop`` and with the sampled
+  profiler attached.
 - ``des.parked_threads`` reports the threads parked when the last run
   ended, so it can never exceed the last engine's thread count.
 """
@@ -15,7 +15,6 @@ from __future__ import annotations
 import pytest
 
 from repro.bench import cache
-from repro.des.channels import ChannelConfig
 from repro.des.engine import DesEngine
 from repro.graph.topologies import pipeline
 from repro.obs import NULL_HUB, ObservabilityHub
@@ -24,7 +23,7 @@ from repro.runtime.queues import QueuePlacement
 from repro.scenarios import find_scenario, load_compiled, run_scenario
 
 
-def _closed(obs, channel=None, profiled=False, measure_s=0.01):
+def _closed(obs, profiled=False):
     graph = pipeline(6, cost_flops=1000.0, payload_bytes=128)
     engine = DesEngine(
         graph,
@@ -32,12 +31,11 @@ def _closed(obs, channel=None, profiled=False, measure_s=0.01):
         QueuePlacement.of([2, 4]),
         3,
         obs=obs,
-        channel=channel,
     )
     profile = None
     if profiled:
         profiler = engine.attach_profiler(period_s=2.5e-5, sampled=True)
-    result = engine.run(warmup_s=0.002, measure_s=measure_s)
+    result = engine.run(warmup_s=0.002, measure_s=0.01)
     if profiled:
         profile = profiler.profile(len(graph)).counts
     return engine, (result, profile)
@@ -64,9 +62,6 @@ def _dropping(obs):
 CASES = {
     "closed-loop": lambda obs: _closed(obs),
     "open-loop-drop": _dropping,
-    "fast-forwarded": lambda obs: _closed(
-        obs, channel=ChannelConfig(fastforward=True), measure_s=0.2
-    ),
     "sampled-profiler": lambda obs: _closed(obs, profiled=True),
 }
 
@@ -77,8 +72,6 @@ def test_hub_never_changes_the_simulation(case):
     detached, want = CASES[case](NULL_HUB)
     assert got == want
     assert attached.sim.events_processed == detached.sim.events_processed
-    if case == "fast-forwarded":
-        assert attached.sim.events_fastforwarded > 0
     if case == "open-loop-drop":
         assert want.dropped_tuples > 0
 

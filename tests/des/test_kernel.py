@@ -299,20 +299,6 @@ class TestHorizon:
         sim.run_until(4.0)
         assert seen == [2.5, 2.5, 2.5, 4.0, 4.0]
 
-    def test_budgeted_stride_has_no_horizon(self):
-        # A stride may stop at any event, so nothing may be folded.
-        sim = Simulator()
-        seen = []
-
-        def proc():
-            while True:
-                seen.append(sim.horizon)
-                yield 1.0
-
-        sim.spawn(proc())
-        sim.run_until(10.0, max_events=2)
-        assert seen == [float("-inf")] * 2
-
     def test_next_event_time(self):
         sim = Simulator()
         assert sim.next_event_time == float("inf")

@@ -5,12 +5,12 @@ The fixture pins, bit for bit, what :class:`ArrivalProcess` produces:
 - ``segments()`` lists for every modulation kind over short windows and
   one long window (digested) that crosses the 64 s streaming chunk;
 - the first 60k arrivals of deterministic and Poisson streams started
-  at several ``t0``, for every modulation kind (digested);
-- the arrivals an :class:`ArrivalStream` returns around ``skip_to``
-  calls on steady streams (the fast-forwarder's re-anchoring).
+  at several ``t0``, for every modulation kind (digested).
 
 Any change to how envelopes are built or streamed must leave every
-float unchanged.
+float unchanged.  ``arrival_stream(t0)``, the window-relative schedule
+the DES engine consumes, is checked to be ``stream(t0)`` shifted by
+``t0``.
 
 Regenerate (only when an arrival change is *meant* to move numbers)::
 
@@ -98,16 +98,8 @@ SEGMENT_WINDOWS = (
     (0.0, 130.0),
 )
 FULL_LIST_MAX = 100
-# skip_to script on steady streams: (skip target or None, draws).
-SKIP_SCRIPT = (
-    (None, 5),
-    (0.5, 5),
-    (0.5001, 3),
-    (0.2, 3),  # behind the last drawn arrival: never rewinds
-    (3.0, 5),
-    (70.0, 5),  # past the streaming chunk
-)
-SKIP_T0 = 0.25
+# Draws compared between arrival_stream(t0) and stream(t0).
+RELATIVE_N = 2_000
 
 
 def _proc(name, kind=ArrivalKind.DETERMINISTIC):
@@ -159,29 +151,10 @@ def stream_records(name):
     return rows
 
 
-def skip_records():
-    out = {}
-    for kind in KINDS:
-        stream = _proc("none", kind).arrival_stream(SKIP_T0)
-        rows = []
-        for target, draws in SKIP_SCRIPT:
-            if target is not None:
-                stream.skip_to(target)
-            rows.append(
-                {
-                    "skip_to": target,
-                    "times": [next(stream) for _ in range(draws)],
-                }
-            )
-        out[kind.value] = rows
-    return out
-
-
 def current():
     return {
         "segments": segment_records(),
         "streams": {name: stream_records(name) for name in ENVELOPES},
-        "skip_to": skip_records(),
     }
 
 
@@ -203,8 +176,15 @@ def test_streams_match_golden(golden, name):
     assert stream_records(name) == golden["streams"][name]
 
 
-def test_skip_to_matches_golden(golden):
-    assert _as_json(skip_records()) == golden["skip_to"]
+@pytest.mark.parametrize("name", sorted(ENVELOPES))
+@pytest.mark.parametrize("kind", KINDS, ids=lambda k: k.value)
+def test_arrival_stream_is_window_relative(name, kind):
+    for t0 in STREAM_T0:
+        relative = itertools.islice(
+            _proc(name, kind).arrival_stream(t0), RELATIVE_N
+        )
+        absolute = itertools.islice(_proc(name, kind).stream(t0), RELATIVE_N)
+        assert list(relative) == [t - t0 for t in absolute], t0
 
 
 def test_rate_at_matches_golden_segments(golden):

@@ -29,6 +29,14 @@ class TestFieldErrors:
             scenario_from_dict(_minimal(wokload={}))
         assert str(err.value).startswith("wokload: unknown field")
 
+    def test_retired_channel_fastforward_rejected(self):
+        with pytest.raises(ScenarioError) as err:
+            scenario_from_dict(_minimal(channel={"fastforward": False}))
+        assert str(err.value) == (
+            "channel.fastforward: unknown field "
+            "(valid fields: batch_size, flush_timeout_ms, prefetch)"
+        )
+
     def test_unknown_enum_value_lists_alternatives(self):
         with pytest.raises(ScenarioError) as err:
             scenario_from_dict(
