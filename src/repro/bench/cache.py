@@ -46,8 +46,7 @@ from __future__ import annotations
 import hashlib
 import os
 import pickle
-from contextlib import contextmanager
-from typing import Any, Dict, Iterator, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 from ..graph.model import StreamGraph
 from ..graph.serialize import graph_to_dict
@@ -66,7 +65,6 @@ __all__ = [
     "machine_fingerprint",
     "memo_enabled",
     "clear",
-    "override",
     "snapshot",
     "stats",
     "store",
@@ -82,40 +80,11 @@ _HITS = 0
 _MISSES = 0
 
 
-# Programmatic enable/disable, scoped via the `override` context
-# manager; wins over the environment flag when set.
-_OVERRIDE: Optional[bool] = None
-
-
-def memo_enabled(override: Optional[bool] = None) -> bool:
-    """Whether measurement memoization is active.
-
-    The ``override`` argument wins when given; next an active
-    :func:`override` scope; otherwise ``REPRO_MEMO=0`` (or
-    ``false``/``no``/``off``) disables, and anything else enables.
-    """
-    if override is not None:
-        return override
-    if _OVERRIDE is not None:
-        return _OVERRIDE
+def memo_enabled() -> bool:
+    """Whether measurement memoization is active: ``REPRO_MEMO=0`` (or
+    ``false``/``no``/``off``) disables it, anything else enables it."""
     flag = os.environ.get("REPRO_MEMO", "1").strip().lower()
     return flag not in ("0", "false", "no", "off")
-
-
-@contextmanager
-def override(enabled: Optional[bool]) -> Iterator[None]:
-    """Scope in which memoization is forced on/off (None = no forcing).
-
-    Used by benchmarks to time an honest no-cache baseline against the
-    memoized path in one process without touching the environment.
-    """
-    global _OVERRIDE
-    previous = _OVERRIDE
-    _OVERRIDE = enabled
-    try:
-        yield
-    finally:
-        _OVERRIDE = previous
 
 
 # ----------------------------------------------------------------------

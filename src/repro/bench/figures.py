@@ -197,11 +197,11 @@ class DesAdaptationScenario:
     """One DES-driven adaptation run with its full decision record.
 
     ``decisions`` is the per-period ``(rule, set_threads, set_n_queues)``
-    sequence from the coordinator's Fig. 7 state machine, so two runs
-    can be checked for behavioural equivalence (the sampled-profiling
-    fast path must walk the same R1-R5 decisions as the fine-grained
-    dedicated-run design it replaces).  ``sim_events`` counts only DES
-    kernel events actually executed — measurement memo hits add none.
+    sequence from the coordinator's Fig. 7 state machine, so a run can
+    be checked against a pinned decision log
+    (``tests/bench/fig07_des_golden.json``).  ``sim_events`` counts only
+    DES kernel events actually executed — measurement memo hits add
+    none.
     """
 
     wall_s: float
@@ -215,8 +215,6 @@ class DesAdaptationScenario:
 
 
 def fig07_des_adaptation(
-    sampled_profiling: bool = True,
-    memoize: bool = True,
     max_periods: int = 160,
     n_operators: int = 8,
     cost_flops: float = 4000.0,
@@ -229,18 +227,12 @@ def fig07_des_adaptation(
     """Tuple-level adaptation with execution profiling (§3.1 + Fig. 7).
 
     Runs the multi-level coordinator against the DES engine with the
-    profile coming from actual execution.  ``sampled_profiling=True``
-    is the continuous-sampling fast path (the profiler rides inside
-    each measurement run via sampled accounting); ``False`` is the
-    previous design — unprofiled measurements plus a dedicated
-    fine-grained profiling run per coordinator request.  ``memoize``
-    toggles measurement memoization; the benchmark suite times
-    ``(False, False)`` against ``(True, True)`` as the before/after of
-    the profiled-fast-path work.
+    profile coming from actual execution: the profiler rides inside
+    each measurement run via sampled accounting (§3.1), and repeated
+    configurations replay memoized measurement cells.
 
-    The run uses a fixed-length trace (no stable-stop) so the two
-    variants walk the same number of periods, like the paper's Fig. 7
-    timelines which plot fixed durations.
+    The run uses a fixed-length trace (no stable-stop), like the
+    paper's Fig. 7 timelines which plot fixed durations.
     """
     from ..des.adaptation import DesAdaptationRunner
     from ..obs.hub import ObservabilityHub
@@ -251,26 +243,24 @@ def fig07_des_adaptation(
     )
     machine = laptop(cores)
     hub = ObservabilityHub()
-    with cache.override(memoize):
-        cache.clear()
-        before = cache.stats()
-        runner = DesAdaptationRunner(
-            graph,
-            machine,
-            RuntimeConfig(cores=cores, seed=seed),
-            warmup_s=warmup_s,
-            measure_s=measure_s,
-            profile_from_execution=True,
-            sampled_profiling=sampled_profiling,
-            obs=hub,
-        )
-        t0 = time.perf_counter()
-        result = runner.run(
-            max_periods=max_periods, stop_after_stable_periods=None
-        )
-        wall = time.perf_counter() - t0
-        after = cache.stats()
-        cache.clear()
+    cache.clear()
+    before = cache.stats()
+    runner = DesAdaptationRunner(
+        graph,
+        machine,
+        RuntimeConfig(cores=cores, seed=seed),
+        warmup_s=warmup_s,
+        measure_s=measure_s,
+        profile_from_execution=True,
+        obs=hub,
+    )
+    t0 = time.perf_counter()
+    result = runner.run(
+        max_periods=max_periods, stop_after_stable_periods=None
+    )
+    wall = time.perf_counter() - t0
+    after = cache.stats()
+    cache.clear()
     return DesAdaptationScenario(
         wall_s=wall,
         sim_events=runner.sim_events,

@@ -28,11 +28,11 @@ process-local, which still covers mid-run phase recurrence under
 time-varying open-loop load (diurnal, ON/OFF, flash crowds).
 
 Everything here is substrate-agnostic: the same
-:class:`WarmStartSpec` travels through the ``AdaptationBackend``
-protocol to the DES, perfmodel and multi-PE job runners (it is a
-plain picklable dataclass, so the job layer can ship it to pool
-workers), and each runner builds its own :class:`WarmStartSession`
-bound to its graph, machine and phase clock.
+:class:`WarmStartSpec` goes to ``set_warm_start`` on the DES runner,
+the perfmodel :class:`~repro.runtime.executor.AdaptationExecutor` and
+the multi-PE job runner (it is a plain picklable dataclass, so the job
+layer can ship it to pool workers), and each builds its own
+:class:`WarmStartSession` bound to its graph, machine and phase clock.
 """
 
 from __future__ import annotations

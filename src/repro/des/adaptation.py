@@ -12,19 +12,19 @@ observation that measurements right after a change are transient —
 the warm-up plays the role of the settling the adaptation period
 allows before the throughput is read.
 
+The runner is a substrate of :func:`~repro.runtime.executor.run_periods`
+(the one period loop): :meth:`DesAdaptationRunner.step_period` is one
+adaptation period, and :meth:`DesAdaptationRunner.run` hands the loop
+to the driver.
+
 Profiling from execution follows §3.1's continuous sampling: with
-``profile_from_execution=True`` and ``sampled_profiling=True`` (the
-default) the measurement engine itself carries the profiler thread,
-which snapshots every executing thread's per-thread state variable
-during the period — the profile falls out of the run the coordinator
-was measuring anyway, no dedicated profiling run needed.  This is only
-sound because sampled accounting is *non-intrusive*: the engine keeps
-its coalesced fast path, so the profiled run measures exactly what an
-unprofiled run would.  ``sampled_profiling=False`` keeps the previous
-design — measurements run unprofiled, and each profile request launches
-a dedicated engine with fine-grained per-operator time advancement —
-because a fine-grained profiler *inside* the measurement run would
-perturb the very throughput it is measuring.
+``profile_from_execution=True`` the measurement engine itself carries
+the profiler thread, which snapshots every executing thread's
+per-thread state variable during the period — the profile falls out of
+the run the coordinator was measuring anyway, no dedicated profiling
+run needed.  This is only sound because sampled accounting is
+*non-intrusive*: the engine keeps its coalesced fast path, so the
+profiled run measures exactly what an unprofiled run would.
 
 Measurement memoization: a period's outcome is deterministic in
 ``(graph, placement, threads, machine, seed, windows)``, and the
@@ -64,9 +64,10 @@ from ..runtime.events import (
     PlacementChange,
     ThreadCountChange,
 )
+from ..runtime.executor import run_periods
 from ..runtime.queues import QueuePlacement
 from .channels import DEFAULT_CHANNEL, ChannelConfig
-from .engine import DesEngine
+from .engine import DesEngine, DesResult
 
 # Profiler wake-ups per measured window: enough samples that every
 # non-negligible operator is caught, few enough that the profiler
@@ -86,8 +87,8 @@ class DesAdaptationResult:
     @property
     def final_n_queues(self) -> int:
         """Queue count of the final placement (the
-        :class:`~repro.runtime.backend.AdaptationBackend` shape —
-        perfmodel results carry the same field)."""
+        :class:`~repro.runtime.backend.BackendResult` shape every
+        substrate's result carries)."""
         return self.final_placement.n_queues
 
 
@@ -106,7 +107,6 @@ class DesAdaptationRunner:
             List[tuple]
         ] = None,  # [(time_s, StreamGraph)]
         profile_from_execution: bool = False,
-        sampled_profiling: bool = True,
         obs: Optional[Obs] = None,
         arrivals_factory=None,  # t0 -> {source_index: Iterator[float]}
         arrivals_key: Optional[Tuple] = None,
@@ -131,7 +131,6 @@ class DesAdaptationRunner:
             workload_events or [], key=lambda ev: ev[0]
         )
         self.profile_from_execution = profile_from_execution
-        self.sampled_profiling = sampled_profiling
         self.machine = machine
         self.config = config if config is not None else RuntimeConfig()
         self.warmup_s = warmup_s
@@ -184,9 +183,9 @@ class DesAdaptationRunner:
         self._warm_spec: Optional[WarmStartSpec] = None
         if warm_start is not None:
             self.set_warm_start(warm_start)
-        # Per-run stepping state (begin_run/step_period); run() drives
-        # these, and the multi-PE job executor drives them directly to
-        # interleave periods across PEs.
+        # Per-run stepping state (begin_run/step_period); run_periods
+        # drives these, and the multi-PE job executor drives them
+        # directly to interleave periods across PEs.
         self.trace = AdaptationTrace.empty()
         self._events_left: List[tuple] = []
         self._m_offered_util = self._hub.registry.gauge(
@@ -198,11 +197,6 @@ class DesAdaptationRunner:
     @property
     def _profiler_period_s(self) -> float:
         return self.measure_s / _PROFILER_SAMPLES_PER_WINDOW
-
-    @property
-    def _continuous_profiling(self) -> bool:
-        """Whether measurement runs carry the profiler thread."""
-        return self.profile_from_execution and self.sampled_profiling
 
     @property
     def _open_loop(self) -> bool:
@@ -226,7 +220,6 @@ class DesAdaptationRunner:
             self.measure_s,
             self.queue_capacity,
             profiled,
-            self.sampled_profiling if profiled else None,
             self._profiler_period_s if profiled else None,
             self._channel.key(),
         )
@@ -252,82 +245,58 @@ class DesAdaptationRunner:
             channel=self._channel,
         )
 
-    def _run_profiled(self, sampled: bool) -> Tuple[DesEngine, CostProfile]:
-        """One profiled execution of the current configuration."""
+    def _execute(
+        self, kind: str, profiled: bool
+    ) -> Tuple[DesResult, Optional[CostProfile]]:
+        """Execute the current configuration once, sampled-profiled or
+        not, or replay the memoized ``(result, profile)`` cell.
+
+        Memoized: the DES is deterministic in the cell key, so a
+        configuration the run (or a sibling variant) has already
+        executed returns the cached cell without simulating a single
+        event.
+        """
+        key = self._measure_key(kind, profiled) if self._cacheable else None
+        if key is not None:
+            hit, cached = cache.lookup(key, obs=self._hub)
+            if hit:
+                return cached
         engine = self._make_engine()
-        profiler = engine.attach_profiler(
-            period_s=self._profiler_period_s,
-            sampled=sampled,
-        )
-        result = engine.run(
-            warmup_s=self.warmup_s, measure_s=self.measure_s
-        )
+        profiler = None
+        if profiled:
+            profiler = engine.attach_profiler(
+                period_s=self._profiler_period_s, sampled=True
+            )
+        result = engine.run(warmup_s=self.warmup_s, measure_s=self.measure_s)
         self.sim_events += engine.sim.events_processed
-        return result, profiler.profile(len(self.graph))
+        profile = profiler.profile(len(self.graph)) if profiler else None
+        cell = (result, profile)
+        if key is not None:
+            cache.store(key, cell)
+        return cell
 
     def _profile_groups(self) -> List[ProfilingGroup]:
         if not self.profile_from_execution:
             return build_groups(
                 self.graph, self._profiler.profile(self.graph)
             )
-        if self._continuous_profiling and self._last_profile is not None:
-            # The paper's actual mechanism (§3.1): the profiler thread
-            # snapshots the per-thread state variables *during normal
-            # execution* — the measurement run the coordinator just
-            # observed already carried it, so reuse that profile.
-            return build_groups(self.graph, self._last_profile)
-        # Dedicated profiling run: fine-grained profiling cannot ride
-        # inside the measurement (it would perturb it), and a sampled
-        # run may be asked for a profile before any period was measured.
-        if self._cacheable:
-            key = self._measure_key("des.profile", True)
-            hit, cached = cache.lookup(key, obs=self._hub)
-        else:
-            hit, cached = False, None
-        if hit:
-            _result, profile = cached
-        elif self._cacheable:
-            profile = cache.store(
-                key, self._run_profiled(self.sampled_profiling)
-            )[1]
-        else:
-            profile = self._run_profiled(self.sampled_profiling)[1]
-        if self._continuous_profiling:
-            self._last_profile = profile
-        return build_groups(self.graph, profile)
+        if self._last_profile is None:
+            # Asked for a profile before any period was measured: run
+            # the current configuration once with the profiler attached.
+            self._last_profile = self._execute("des.profile", True)[1]
+        # The paper's actual mechanism (§3.1): the profiler thread
+        # snapshots the per-thread state variables *during normal
+        # execution* — the measurement run the coordinator just
+        # observed already carried it, so reuse that profile.
+        return build_groups(self.graph, self._last_profile)
 
     # ------------------------------------------------------------------
     def measure(self) -> float:
-        """One adaptation period: execute the current configuration.
-
-        Memoized: the DES is deterministic in the cell key, so a
-        configuration the run (or a sibling variant) has already
-        measured returns the cached result — and, under
-        ``profile_from_execution``, the cached execution profile —
-        without simulating a single event.
-        """
-        profiled = self._continuous_profiling
-        if self._cacheable:
-            key = self._measure_key("des.measure", profiled)
-            hit, cached = cache.lookup(key, obs=self._hub)
-        else:
-            key = None
-            hit, cached = False, None
-        if hit:
-            result, profile = cached
-        elif profiled:
-            result, profile = self._run_profiled(sampled=True)
-            if key is not None:
-                cache.store(key, (result, profile))
-        else:
-            engine = self._make_engine()
-            result = engine.run(
-                warmup_s=self.warmup_s, measure_s=self.measure_s
-            )
-            self.sim_events += engine.sim.events_processed
-            profile = None
-            if key is not None:
-                cache.store(key, (result, profile))
+        """One adaptation period: execute the current configuration
+        (see :meth:`_execute`); under ``profile_from_execution`` the
+        run also yields the period's execution profile."""
+        profiled = self.profile_from_execution
+        result, profile = self._execute("des.measure", profiled)
         if profiled:
             self._last_profile = profile
         # Open-loop honesty: an underloaded PE reports its offered-load
@@ -390,7 +359,7 @@ class DesAdaptationRunner:
 
     def begin_run(self) -> None:
         """Reset per-run state ahead of a sequence of
-        :meth:`step_period` calls (``run`` calls this itself)."""
+        :meth:`step_period` calls."""
         self.trace = AdaptationTrace.empty()
         self._events_left = list(self._workload_events)
 
@@ -400,9 +369,10 @@ class DesAdaptationRunner:
         observation, and apply the coordinator's decision.  Returns the
         observed throughput.
 
-        ``run`` drives this in a loop; the multi-PE job executor
-        drives several runners' periods in lockstep instead, injecting
-        fresh arrival schedules between calls (:meth:`set_arrivals`).
+        :func:`~repro.runtime.executor.run_periods` drives this in a
+        loop; the multi-PE job executor drives several runners' periods
+        in lockstep instead, injecting fresh arrival schedules between
+        calls (:meth:`set_arrivals`).
         """
         period_s = self.config.elasticity.adaptation_period_s
         time_s = k * period_s
@@ -459,24 +429,18 @@ class DesAdaptationRunner:
             converged_throughput=self.trace.final_throughput(window=4),
         )
 
+    @property
+    def is_stable(self) -> bool:
+        return self.coordinator.is_stable
+
+    @property
+    def events_pending(self) -> bool:
+        return bool(self._events_left)
+
     def run(
         self,
         max_periods: int = 120,
         stop_after_stable_periods: Optional[int] = 8,
     ) -> DesAdaptationResult:
         """Drive the adaptation loop for up to ``max_periods`` periods."""
-        self.begin_run()
-        stable_streak = 0
-        for k in range(1, max_periods + 1):
-            self.step_period(k)
-            if (
-                stop_after_stable_periods is not None
-                and not self._events_left
-            ):
-                if self.coordinator.is_stable:
-                    stable_streak += 1
-                    if stable_streak >= stop_after_stable_periods:
-                        break
-                else:
-                    stable_streak = 0
-        return self.result()
+        return run_periods(self, max_periods, stop_after_stable_periods)

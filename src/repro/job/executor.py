@@ -68,6 +68,7 @@ from ..obs.scope import scoped
 from ..perfmodel.machine import MachineProfile
 from ..runtime.config import RuntimeConfig
 from ..runtime.events import AdaptationTrace, Observation
+from ..runtime.executor import run_periods
 from ..runtime.pool import POOL_START_ERRORS, WorkerPoolError, job_workers
 from ..scenarios.arrivals import ArrivalProcess
 from ..scenarios.schema import ArrivalKind, ArrivalSpec, PartitionStrategy
@@ -203,8 +204,8 @@ def build_pe_runner(
 class JobAdaptationResult:
     """Outcome of a multi-PE elastic run.
 
-    Satisfies the :class:`~repro.runtime.backend.AdaptationBackend`
-    result shape: ``final_threads``/``final_n_queues`` aggregate over
+    Satisfies the :class:`~repro.runtime.backend.BackendResult`
+    shape: ``final_threads``/``final_n_queues`` aggregate over
     PEs (replica-weighted), ``converged_throughput`` is the job's
     real-sink emission.
     """
@@ -229,7 +230,6 @@ class JobAdaptationRunner:
         measure_s: float = 0.01,
         queue_capacity: int = 16,
         profile_from_execution: bool = False,
-        sampled_profiling: bool = True,
         obs: Optional[Obs] = None,
         arrivals_factory=None,  # full-graph t0 -> {source_index: iter}
         arrivals_key: Optional[Tuple] = None,
@@ -257,7 +257,6 @@ class JobAdaptationRunner:
             measure_s=measure_s,
             queue_capacity=queue_capacity,
             profile_from_execution=profile_from_execution,
-            sampled_profiling=sampled_profiling,
             overflow=overflow,
             channel=channel,
             warm_start=warm_start,
@@ -303,8 +302,10 @@ class JobAdaptationRunner:
             pe.name: None for pe in job.pes
         }
         # Per-PE coordinator stability as of the last completed period
-        # (mirrored from worker reports in parallel mode).
+        # (mirrored from worker reports in parallel mode), and whether
+        # the job coordinator changed replica counts in it.
         self._pe_stable: Dict[str, bool] = {}
+        self._job_changed = False
         self.trace = AdaptationTrace.empty()
         # Live parallel session while run() drives a worker pool, and
         # the per-PE results it fetched at the end of the run.
@@ -693,49 +694,52 @@ class JobAdaptationRunner:
         """All PE coordinators settled and the job loop held still."""
         if len(self._pe_stable) < len(self.job.pes):
             return False
-        return all(self._pe_stable.values()) and not getattr(
-            self, "_job_changed", False
-        )
+        return all(self._pe_stable.values()) and not self._job_changed
+
+    @property
+    def events_pending(self) -> bool:
+        """Jobs take no workload-change schedule."""
+        return False
+
+    def begin_run(self) -> None:
+        """Reset per-run state, restore warm replicas, and start every
+        PE's run (in the pool workers when a session is live)."""
+        self.trace = AdaptationTrace.empty()
+        self._pe_results = None
+        self._pe_stable = {}
+        self._job_changed = False
+        self._job_recorded = False
+        self._maybe_warm_replicas()
+        if self._session is None:
+            for runner in self.runners.values():
+                runner.begin_run()
+        else:
+            self._wave_list = self._waves()
+            self._session.begin()
 
     def run(
         self,
         max_periods: Optional[int] = None,
         stop_after_stable_periods: Optional[int] = 8,
     ) -> JobAdaptationResult:
-        """Drive the lockstep loop (the
-        :class:`~repro.runtime.backend.AdaptationBackend` surface)."""
-        if max_periods is None:
-            max_periods = 120
-        self.trace = AdaptationTrace.empty()
-        self._pe_results = None
-        self._pe_stable = {}
-        self._job_recorded = False
-        self._maybe_warm_replicas()
+        """Drive the lockstep loop through
+        :func:`~repro.runtime.executor.run_periods`, inside a worker
+        pool session when ``jobs > 1``."""
         self._session = self._start_session()
         try:
-            if self._session is None:
-                for runner in self.runners.values():
-                    runner.begin_run()
-            else:
-                self._wave_list = self._waves()
-                self._session.begin()
-            stable_streak = 0
-            for k in range(1, max_periods + 1):
-                self.step_period(k)
-                if stop_after_stable_periods is not None:
-                    if self.is_stable:
-                        stable_streak += 1
-                        if stable_streak >= stop_after_stable_periods:
-                            break
-                    else:
-                        stable_streak = 0
+            result = run_periods(
+                self,
+                120 if max_periods is None else max_periods,
+                stop_after_stable_periods,
+            )
             if self._session is not None:
                 self._pe_results = self._session.finish()
+                result = self.result()
         finally:
             if self._session is not None:
                 self._session.close()
                 self._session = None
-        return self.result()
+        return result
 
     def result(self) -> JobAdaptationResult:
         if self._pe_results is not None:

@@ -19,24 +19,22 @@ from .regions import Region, RegionDecomposition, decompose
 from .snapshot import load_trace, save_trace, trace_from_dict, trace_to_dict
 
 if TYPE_CHECKING:  # pragma: no cover - type-checking only
-    from .backend import (
-        AdaptationBackend,
-        BackendResult,
-        PerfModelAdaptationRunner,
+    from .backend import AdaptationBackend, BackendResult
+    from .executor import (
+        AdaptationExecutor,
+        ExecutionResult,
+        run_elastic,
+        run_periods,
     )
-    from .executor import AdaptationExecutor, ExecutionResult, run_elastic
     from .pe import ProcessingElement
 
 _LAZY = {
     "AdaptationBackend": ("repro.runtime.backend", "AdaptationBackend"),
     "BackendResult": ("repro.runtime.backend", "BackendResult"),
-    "PerfModelAdaptationRunner": (
-        "repro.runtime.backend",
-        "PerfModelAdaptationRunner",
-    ),
     "AdaptationExecutor": ("repro.runtime.executor", "AdaptationExecutor"),
     "ExecutionResult": ("repro.runtime.executor", "ExecutionResult"),
     "run_elastic": ("repro.runtime.executor", "run_elastic"),
+    "run_periods": ("repro.runtime.executor", "run_periods"),
     "ProcessingElement": ("repro.runtime.pe", "ProcessingElement"),
     "PeReport": ("repro.runtime.introspect", "PeReport"),
     "RegionReport": ("repro.runtime.introspect", "RegionReport"),
@@ -61,10 +59,10 @@ __all__ = [
     "ThreadCountChange",
     "AdaptationBackend",
     "BackendResult",
-    "PerfModelAdaptationRunner",
     "AdaptationExecutor",
     "ExecutionResult",
     "run_elastic",
+    "run_periods",
     "ProcessingElement",
     "PeReport",
     "RegionReport",

@@ -1,4 +1,4 @@
-"""The adaptation-backend protocol: one loop shape, many substrates.
+"""The adaptation-backend protocol: one period loop, many substrates.
 
 Three things in this repo can drive the multi-level elastic control
 loop to convergence: the tuple-level DES
@@ -6,21 +6,19 @@ loop to convergence: the tuple-level DES
 performance model (:class:`~repro.runtime.executor.AdaptationExecutor`
 over a :class:`~repro.runtime.pe.ProcessingElement`), and the multi-PE
 job executor (:class:`~repro.job.executor.JobAdaptationRunner`).  They
-grew different constructors — each substrate needs different knobs —
-but callers that only want "run the loop, give me the converged
-configuration" should not care which substrate is underneath.
+need different constructors — each substrate needs different knobs —
+but one loop drives them all:
+:func:`~repro.runtime.executor.run_periods` owns the 1-based period
+counter and the stable-streak stop.
 
-:class:`AdaptationBackend` pins that shared surface as a structural
-protocol: a ``run(max_periods, stop_after_stable_periods)`` method
-returning a result with ``trace``, ``final_threads``,
-``final_n_queues`` and ``converged_throughput``, plus a
-``set_warm_start(spec)`` method accepting the same picklable
-:class:`~repro.core.warmstart.WarmStartSpec` on every substrate (a
-disabled or ``None`` spec must leave the stock cold-start decision
-log byte-identical).  The DES and job runners satisfy it natively;
-:class:`PerfModelAdaptationRunner` adapts the executor's
-duration-based API (the perfmodel thinks in simulated seconds, the
-protocol in periods).
+:class:`AdaptationBackend` pins the surface that loop needs as a
+structural protocol: ``begin_run()``, ``step_period(k)``, the
+``is_stable`` and ``events_pending`` properties, and ``result()``
+returning a :class:`BackendResult` with ``trace``, ``final_threads``,
+``final_n_queues`` and ``converged_throughput``.  Every substrate also
+has ``set_warm_start(spec)``, accepting the same picklable
+:class:`~repro.core.warmstart.WarmStartSpec` (a disabled or ``None``
+spec must leave the stock cold-start decision log byte-identical).
 
 The protocol is runtime-checkable so tests can assert conformance
 without importing every substrate, but it is *structural*: nothing
@@ -29,16 +27,14 @@ needs to inherit from it.
 
 from __future__ import annotations
 
-from typing import List, Optional, Protocol, runtime_checkable
+from typing import Protocol, runtime_checkable
 
-from ..obs.hub import Obs
-from .config import RuntimeConfig
 from .events import AdaptationTrace
 
 
 @runtime_checkable
 class BackendResult(Protocol):
-    """What every backend's ``run`` hands back."""
+    """What every substrate's ``result()`` hands back."""
 
     trace: AdaptationTrace
 
@@ -54,90 +50,19 @@ class BackendResult(Protocol):
 
 @runtime_checkable
 class AdaptationBackend(Protocol):
-    """A substrate that can drive the elastic loop to convergence.
+    """A substrate :func:`~repro.runtime.executor.run_periods` can
+    drive: period ``k`` of a run is ``step_period(k)``."""
 
-    ``max_periods=None`` means "the backend's own default horizon" —
-    for the perfmodel adapter that is the duration it was constructed
-    with, for period-counted backends their default cap.
-    """
+    def begin_run(self) -> None: ...
 
-    def run(
-        self,
-        max_periods: Optional[int] = None,
-        stop_after_stable_periods: Optional[int] = 8,
-    ) -> BackendResult: ...
+    def step_period(self, k: int) -> float: ...
+
+    @property
+    def is_stable(self) -> bool: ...
+
+    @property
+    def events_pending(self) -> bool: ...
+
+    def result(self) -> BackendResult: ...
 
     def set_warm_start(self, spec) -> None: ...
-
-
-class PerfModelAdaptationRunner:
-    """:class:`AdaptationBackend` facade over the analytical model.
-
-    The underlying :class:`~repro.runtime.executor.AdaptationExecutor`
-    runs for a *duration*; the protocol speaks in *periods*.  The
-    adapter converts: ``max_periods`` periods of the configured
-    adaptation period, or the ``duration_s`` given at construction
-    when ``max_periods`` is None — preserving scenario semantics,
-    where ``run.duration_s`` (not ``run.max_periods``) governs
-    perfmodel runs.
-    """
-
-    def __init__(
-        self,
-        graph,
-        machine,
-        config: Optional[RuntimeConfig] = None,
-        duration_s: float = 2000.0,
-        workload_events: Optional[List[tuple]] = None,
-        obs: Optional[Obs] = None,
-        warm_start=None,
-    ) -> None:
-        from .executor import AdaptationExecutor
-        from .pe import ProcessingElement
-
-        self.config = config if config is not None else RuntimeConfig()
-        self.duration_s = duration_s
-        self.pe = ProcessingElement(graph, machine, self.config)
-        self._obs = obs
-        self.executor = AdaptationExecutor(
-            self.pe, workload_events=workload_events, obs=obs
-        )
-        self._warm_spec = None
-        if warm_start is not None:
-            self.set_warm_start(warm_start)
-
-    def set_warm_start(self, spec) -> None:
-        """Install (or clear) the warm-start policy on the underlying
-        coordinator.  The analytical substrate is steady-state — no
-        envelope clock — so its phase token is constant; the graph is
-        read lazily because workload events may swap it mid-run.
-        """
-        from ..core.warmstart import make_runner_session
-
-        self._warm_spec = spec
-        self.executor.coordinator.set_warm_start(
-            make_runner_session(
-                spec,
-                graph_fn=lambda: self.pe.graph,
-                machine=self.pe.machine,
-                config=self.config,
-                phase_token=lambda: "steady",
-                obs=self._obs,
-            )
-        )
-
-    def run(
-        self,
-        max_periods: Optional[int] = None,
-        stop_after_stable_periods: Optional[int] = 8,
-    ):
-        period_s = self.config.elasticity.adaptation_period_s
-        duration = (
-            self.duration_s
-            if max_periods is None
-            else max_periods * period_s
-        )
-        return self.executor.run(
-            duration_s=duration,
-            stop_after_stable_periods=stop_after_stable_periods,
-        )

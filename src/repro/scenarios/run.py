@@ -16,7 +16,7 @@ Scenarios with a ``pes:`` block are dispatched to the multi-PE job
 executor (:class:`~repro.job.executor.JobAdaptationRunner`, DES
 only), and :func:`make_backend` hands any compiled scenario back as
 an :class:`~repro.runtime.backend.AdaptationBackend` without running
-it.
+it.  Each substrate is built in one place, which both paths share.
 
 Both paths publish decisions through the same
 :class:`~repro.obs.ObservabilityHub`, so a scenario's R1–R5 decision
@@ -94,6 +94,72 @@ def _warm_spec(compiled: CompiledScenario, explicit: Optional[str]):
     return WarmStartSpec(mode=mode, phase_rate=phase_rate)
 
 
+def _des_substrate(
+    compiled: CompiledScenario, obs: Optional[Obs], jobs: Optional[int], spec
+):
+    """The scenario's DES substrate: the multi-PE job runner when it
+    declares ``pes``, the single-PE runner otherwise."""
+    run = compiled.scenario.run
+    kwargs = dict(
+        warmup_s=run.warmup_s,
+        measure_s=run.measure_s,
+        queue_capacity=run.queue_capacity,
+        profile_from_execution=run.profile_from_execution,
+        obs=obs,
+        arrivals_factory=compiled.arrivals_factory(),
+        arrivals_key=compiled.arrivals_key(),
+        overflow=compiled.overflow,
+        channel=compiled.channel,
+    )
+    if compiled.multi_pe:
+        from ..job.executor import JobAdaptationRunner
+
+        runner = JobAdaptationRunner(
+            compiled.job,
+            compiled.machine,
+            compiled.config,
+            jobs=jobs if jobs is not None else run.jobs,
+            **kwargs,
+        )
+    else:
+        from ..des.adaptation import DesAdaptationRunner
+
+        runner = DesAdaptationRunner(
+            compiled.graph, compiled.machine, compiled.config, **kwargs
+        )
+    if spec is not None:
+        runner.set_warm_start(spec)
+    return runner
+
+
+def _perfmodel_executor(compiled: CompiledScenario, obs: Optional[Obs], spec):
+    from ..runtime.executor import AdaptationExecutor
+    from ..runtime.pe import ProcessingElement
+
+    pe = ProcessingElement(compiled.graph, compiled.machine, compiled.config)
+    executor = AdaptationExecutor(pe, obs=obs)
+    if spec is not None:
+        executor.set_warm_start(spec)
+    return executor
+
+
+def _run_result(
+    compiled: CompiledScenario, backend: str, result, decisions, **extra
+) -> ScenarioRunResult:
+    return ScenarioRunResult(
+        scenario=compiled.scenario.name,
+        backend=backend,
+        periods=len(result.trace.observations),
+        converged_throughput=result.converged_throughput,
+        final_threads=result.final_threads,
+        final_n_queues=result.final_n_queues,
+        decisions=decisions,
+        open_loop=compiled.open_loop,
+        mean_arrival_rate=compiled.mean_arrival_rate,
+        **extra,
+    )
+
+
 def run_on_des(
     compiled: CompiledScenario,
     obs: Optional[Obs] = None,
@@ -108,48 +174,26 @@ def run_on_des(
     scenarios have nothing to parallelize and ignore it.
     ``warm_start`` overrides the scenario's ``run.warm_start``.
     """
-    from ..des.adaptation import DesAdaptationRunner
-
     if compiled.multi_pe:
         return run_on_job(
             compiled, obs=obs, jobs=jobs, warm_start=warm_start
         )
     run = compiled.scenario.run
     hub = obs if obs is not None else ObservabilityHub()
-    spec = _warm_spec(compiled, warm_start)
-    runner = DesAdaptationRunner(
-        compiled.graph,
-        compiled.machine,
-        compiled.config,
-        warmup_s=run.warmup_s,
-        measure_s=run.measure_s,
-        queue_capacity=run.queue_capacity,
-        profile_from_execution=run.profile_from_execution,
-        sampled_profiling=True,
-        obs=hub,
-        arrivals_factory=compiled.arrivals_factory(),
-        arrivals_key=compiled.arrivals_key(),
-        overflow=compiled.overflow,
-        channel=compiled.channel,
+    runner = _des_substrate(
+        compiled, hub, None, _warm_spec(compiled, warm_start)
     )
-    if spec is not None:
-        runner.set_warm_start(spec)
     result = runner.run(
         max_periods=run.max_periods,
         stop_after_stable_periods=run.stop_after_stable_periods,
     )
-    return ScenarioRunResult(
-        scenario=compiled.scenario.name,
-        backend="des",
-        periods=len(result.trace.observations),
-        converged_throughput=result.converged_throughput,
-        final_threads=result.final_threads,
-        final_n_queues=result.final_placement.n_queues,
-        decisions=_decisions(hub),
+    return _run_result(
+        compiled,
+        "des",
+        result,
+        _decisions(hub),
         offered_utilization=runner.last_offered_utilization,
         dropped_tuples=_counter_value(hub, "des.dropped_tuples"),
-        open_loop=compiled.open_loop,
-        mean_arrival_rate=compiled.mean_arrival_rate,
     )
 
 
@@ -167,34 +211,16 @@ def run_on_job(
     overrides the worker-pool width (explicit argument beats the
     scenario's ``run.jobs``, which beats ``REPRO_JOB_WORKERS``).
     """
-    from ..job.executor import JobAdaptationRunner
-
-    if compiled.job is None:
+    if not compiled.multi_pe:
         raise ValueError(
             f"scenario {compiled.scenario.name!r} declares no 'pes' "
             "block; use run_on_des"
         )
     run = compiled.scenario.run
     hub = obs if obs is not None else ObservabilityHub()
-    spec = _warm_spec(compiled, warm_start)
-    runner = JobAdaptationRunner(
-        compiled.job,
-        compiled.machine,
-        compiled.config,
-        warmup_s=run.warmup_s,
-        measure_s=run.measure_s,
-        queue_capacity=run.queue_capacity,
-        profile_from_execution=run.profile_from_execution,
-        sampled_profiling=True,
-        obs=hub,
-        arrivals_factory=compiled.arrivals_factory(),
-        arrivals_key=compiled.arrivals_key(),
-        overflow=compiled.overflow,
-        channel=compiled.channel,
-        jobs=jobs if jobs is not None else run.jobs,
+    runner = _des_substrate(
+        compiled, hub, jobs, _warm_spec(compiled, warm_start)
     )
-    if spec is not None:
-        runner.set_warm_start(spec)
     result = runner.run(
         max_periods=run.max_periods,
         stop_after_stable_periods=run.stop_after_stable_periods,
@@ -208,18 +234,13 @@ def run_on_job(
         (r.last_offered_utilization for r in runner.runners.values()),
         default=1.0,
     )
-    return ScenarioRunResult(
-        scenario=compiled.scenario.name,
-        backend="des",
-        periods=len(result.trace.observations),
-        converged_throughput=result.converged_throughput,
-        final_threads=result.final_threads,
-        final_n_queues=result.final_n_queues,
-        decisions=job_decisions,
+    return _run_result(
+        compiled,
+        "des",
+        result,
+        job_decisions,
         offered_utilization=offered,
         dropped_tuples=_counter_value(hub, "des.dropped_tuples"),
-        open_loop=compiled.open_loop,
-        mean_arrival_rate=compiled.mean_arrival_rate,
         pe_replicas=tuple(sorted(result.final_replicas.items())),
     )
 
@@ -233,60 +254,18 @@ def make_backend(
     """Construct the :class:`~repro.runtime.backend.AdaptationBackend`
     a compiled scenario runs on, without running it.
 
-    Returns a DES runner for single-PE DES scenarios, a job runner
-    for multi-PE ones, and a perfmodel adapter otherwise — all
-    satisfying the same ``run(max_periods, stop_after_stable_periods)``
-    protocol.
+    Returns a job runner for multi-PE scenarios, an
+    :class:`~repro.runtime.executor.AdaptationExecutor` for perfmodel
+    ones and a DES runner otherwise — all drivable by
+    :func:`~repro.runtime.executor.run_periods`.
     """
-    run = compiled.scenario.run
     spec = _warm_spec(compiled, warm_start)
-    if compiled.multi_pe:
-        from ..job.executor import JobAdaptationRunner
-
-        return JobAdaptationRunner(
-            compiled.job,
-            compiled.machine,
-            compiled.config,
-            warmup_s=run.warmup_s,
-            measure_s=run.measure_s,
-            queue_capacity=run.queue_capacity,
-            profile_from_execution=run.profile_from_execution,
-            obs=obs,
-            arrivals_factory=compiled.arrivals_factory(),
-            arrivals_key=compiled.arrivals_key(),
-            overflow=compiled.overflow,
-            channel=compiled.channel,
-            jobs=jobs if jobs is not None else run.jobs,
-            warm_start=spec,
-        )
-    if compiled.scenario.run.backend is Backend.PERFMODEL:
-        from ..runtime.backend import PerfModelAdaptationRunner
-
-        return PerfModelAdaptationRunner(
-            compiled.graph,
-            compiled.machine,
-            compiled.config,
-            duration_s=run.duration_s,
-            obs=obs,
-            warm_start=spec,
-        )
-    from ..des.adaptation import DesAdaptationRunner
-
-    return DesAdaptationRunner(
-        compiled.graph,
-        compiled.machine,
-        compiled.config,
-        warmup_s=run.warmup_s,
-        measure_s=run.measure_s,
-        queue_capacity=run.queue_capacity,
-        profile_from_execution=run.profile_from_execution,
-        obs=obs,
-        arrivals_factory=compiled.arrivals_factory(),
-        arrivals_key=compiled.arrivals_key(),
-        overflow=compiled.overflow,
-        channel=compiled.channel,
-        warm_start=spec,
-    )
+    if (
+        not compiled.multi_pe
+        and compiled.scenario.run.backend is Backend.PERFMODEL
+    ):
+        return _perfmodel_executor(compiled, obs, spec)
+    return _des_substrate(compiled, obs, jobs, spec)
 
 
 def run_on_perfmodel(
@@ -295,29 +274,11 @@ def run_on_perfmodel(
     warm_start: Optional[str] = None,
 ) -> ScenarioRunResult:
     """Run the scenario's adaptation loop on the analytical model."""
-    from ..runtime.executor import AdaptationExecutor
-    from ..runtime.pe import ProcessingElement
-
     run = compiled.scenario.run
     hub = obs if obs is not None else ObservabilityHub()
-    pe = ProcessingElement(
-        compiled.graph, compiled.machine, compiled.config
+    executor = _perfmodel_executor(
+        compiled, hub, _warm_spec(compiled, warm_start)
     )
-    executor = AdaptationExecutor(pe, obs=hub)
-    spec = _warm_spec(compiled, warm_start)
-    if spec is not None:
-        from ..core.warmstart import make_runner_session
-
-        executor.coordinator.set_warm_start(
-            make_runner_session(
-                spec,
-                graph_fn=lambda: pe.graph,
-                machine=pe.machine,
-                config=compiled.config,
-                phase_token=lambda: "steady",
-                obs=hub,
-            )
-        )
     result = executor.run(
         duration_s=run.duration_s,
         stop_after_stable_periods=run.stop_after_stable_periods,
@@ -332,17 +293,12 @@ def run_on_perfmodel(
         if offered > 0 and sink_gain > 0:
             achieved = result.converged_throughput / sink_gain
             offered_util = min(1.0, achieved / offered)
-    return ScenarioRunResult(
-        scenario=compiled.scenario.name,
-        backend="perfmodel",
-        periods=len(result.trace.observations),
-        converged_throughput=result.converged_throughput,
-        final_threads=result.final_threads,
-        final_n_queues=result.final_n_queues,
-        decisions=_decisions(hub),
+    return _run_result(
+        compiled,
+        "perfmodel",
+        result,
+        _decisions(hub),
         offered_utilization=offered_util,
-        open_loop=compiled.open_loop,
-        mean_arrival_rate=compiled.mean_arrival_rate,
     )
 
 

@@ -13,11 +13,11 @@ from repro.runtime.config import RuntimeConfig
 
 
 @pytest.fixture(autouse=True)
-def _isolated_cache():
+def _isolated_cache(monkeypatch):
     """Each test starts and ends with an empty, enabled cache."""
     cache.clear()
-    with cache.override(True):
-        yield
+    monkeypatch.setenv("REPRO_MEMO", "1")
+    yield
     cache.clear()
 
 
@@ -65,11 +65,11 @@ class TestStore:
         stats = cache.stats()
         assert stats["hits"] == 1 and stats["misses"] == 1
 
-    def test_disabled_never_hits_or_stores(self):
-        with cache.override(False):
-            cache.store(("k",), "v")
-            hit, _ = cache.lookup(("k",))
-            assert not hit
+    def test_disabled_never_hits_or_stores(self, monkeypatch):
+        monkeypatch.setenv("REPRO_MEMO", "0")
+        cache.store(("k",), "v")
+        hit, _ = cache.lookup(("k",))
+        assert not hit
         # Nothing leaked into the store while disabled.
         assert cache.stats()["entries"] == 0
 
@@ -125,13 +125,12 @@ class TestMeasureMemoization:
             g.members for g in groups_live
         ]
 
-    def test_adaptation_run_unchanged_by_memoization(self):
+    def test_adaptation_run_unchanged_by_memoization(self, monkeypatch):
         """Memo hits replay identical measurements, so the decision
         trajectory is untouched."""
-        with cache.override(False):
-            cold = _runner().run(
-                max_periods=20, stop_after_stable_periods=None
-            )
+        monkeypatch.setenv("REPRO_MEMO", "0")
+        cold = _runner().run(max_periods=20, stop_after_stable_periods=None)
+        monkeypatch.setenv("REPRO_MEMO", "1")
         warm = _runner().run(
             max_periods=20, stop_after_stable_periods=None
         )

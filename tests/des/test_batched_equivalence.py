@@ -79,7 +79,6 @@ def _adaptation_run(channel):
         warmup_s=0.001,
         measure_s=0.004,
         profile_from_execution=True,
-        sampled_profiling=True,
         obs=hub,
         channel=channel,
     )

@@ -1,22 +1,28 @@
-"""AdaptationBackend: every substrate satisfies the same protocol."""
+"""AdaptationBackend: every substrate runs through the one period loop."""
 
 from __future__ import annotations
+
+import math
 
 import pytest
 
 from repro.bench import cache
+from repro.des.adaptation import DesAdaptationRunner
 from repro.graph import pipeline
 from repro.job.executor import JobAdaptationRunner
 from repro.job.graph import build_job_graph
 from repro.perfmodel import laptop
-from repro.runtime import RuntimeConfig
-from repro.runtime.backend import (
-    AdaptationBackend,
-    BackendResult,
-    PerfModelAdaptationRunner,
+from repro.runtime import (
+    AdaptationExecutor,
+    ElasticityConfig,
+    ProcessingElement,
+    RuntimeConfig,
+    run_periods,
 )
-from repro.des.adaptation import DesAdaptationRunner
+from repro.runtime.backend import AdaptationBackend, BackendResult
 from repro.scenarios.schema import PeSpec
+
+SUBSTRATES = ["des", "perfmodel", "job"]
 
 
 @pytest.fixture
@@ -24,112 +30,6 @@ def pipe4():
     return pipeline(4, cost_flops=1000.0, payload_bytes=128)
 
 
-def test_des_runner_is_a_backend(pipe4):
-    runner = DesAdaptationRunner(pipe4, laptop(4), RuntimeConfig(seed=3))
-    assert isinstance(runner, AdaptationBackend)
-
-
-def test_job_runner_is_a_backend(pipe4):
-    job = build_job_graph(
-        pipe4,
-        (
-            PeSpec(name="a", operators=("src", "op0", "op1")),
-            PeSpec(name="b", operators=("op2", "op3", "snk")),
-        ),
-    )
-    runner = JobAdaptationRunner(job, laptop(4), RuntimeConfig(seed=3))
-    assert isinstance(runner, AdaptationBackend)
-
-
-def test_perfmodel_adapter_is_a_backend(pipe4):
-    runner = PerfModelAdaptationRunner(
-        pipe4, laptop(4), RuntimeConfig(seed=3)
-    )
-    assert isinstance(runner, AdaptationBackend)
-
-
-@pytest.mark.parametrize("substrate", ["des", "perfmodel"])
-def test_backends_return_conforming_results(pipe4, substrate):
-    cache.clear()
-    if substrate == "des":
-        runner = DesAdaptationRunner(
-            pipe4,
-            laptop(4),
-            RuntimeConfig(seed=3),
-            warmup_s=0.001,
-            measure_s=0.004,
-        )
-    else:
-        runner = PerfModelAdaptationRunner(
-            pipe4, laptop(4), RuntimeConfig(seed=3)
-        )
-    result = runner.run(max_periods=4, stop_after_stable_periods=None)
-    assert isinstance(result, BackendResult)
-    assert result.final_threads >= 1
-    assert result.final_n_queues >= 0
-    assert result.converged_throughput > 0
-    assert len(result.trace.observations) >= 1
-
-
-def test_job_result_conforms(pipe4):
-    cache.clear()
-    job = build_job_graph(
-        pipe4,
-        (
-            PeSpec(name="a", operators=("src", "op0", "op1")),
-            PeSpec(name="b", operators=("op2", "op3", "snk")),
-        ),
-    )
-    runner = JobAdaptationRunner(
-        job,
-        laptop(4),
-        RuntimeConfig(seed=3),
-        warmup_s=0.001,
-        measure_s=0.004,
-    )
-    result = runner.run(max_periods=3, stop_after_stable_periods=None)
-    assert isinstance(result, BackendResult)
-    assert result.converged_throughput > 0
-
-
-def test_perfmodel_adapter_converts_periods_to_duration(pipe4):
-    config = RuntimeConfig(seed=3)
-    runner = PerfModelAdaptationRunner(
-        pipe4, laptop(4), config, duration_s=50.0
-    )
-    period_s = config.elasticity.adaptation_period_s
-    result = runner.run(max_periods=4, stop_after_stable_periods=None)
-    assert (
-        len(result.trace.observations)
-        <= 4 * period_s / period_s + 1
-    )
-    # max_periods=None falls back to the constructed duration.
-    fallback = PerfModelAdaptationRunner(
-        pipe4, laptop(4), config, duration_s=2 * period_s
-    ).run(stop_after_stable_periods=None)
-    assert len(fallback.trace.observations) >= 1
-
-
-def test_make_backend_dispatch(tmp_path):
-    """The scenario-level factory picks the right substrate."""
-    from repro.scenarios import compile_scenario, load_scenario
-    from repro.scenarios.run import make_backend
-
-    des = compile_scenario(
-        load_scenario("scenarios/pipeline-smoke.yaml")
-    )
-    job = compile_scenario(
-        load_scenario("scenarios/fig07-2pe-passthrough.yaml")
-    )
-    assert isinstance(make_backend(des), AdaptationBackend)
-    backend = make_backend(job)
-    assert isinstance(backend, JobAdaptationRunner)
-    assert isinstance(backend, AdaptationBackend)
-
-
-# ----------------------------------------------------------------------
-# warm-start conformance: one spec, three substrates
-# ----------------------------------------------------------------------
 def _job(pipe4):
     return build_job_graph(
         pipe4,
@@ -140,7 +40,7 @@ def _job(pipe4):
     )
 
 
-def _make(substrate, pipe4, hub=None, **kw):
+def _make(substrate, pipe4, hub=None):
     if substrate == "des":
         return DesAdaptationRunner(
             pipe4,
@@ -149,7 +49,6 @@ def _make(substrate, pipe4, hub=None, **kw):
             warmup_s=0.001,
             measure_s=0.004,
             obs=hub,
-            **kw,
         )
     if substrate == "job":
         return JobAdaptationRunner(
@@ -159,16 +58,132 @@ def _make(substrate, pipe4, hub=None, **kw):
             warmup_s=0.001,
             measure_s=0.004,
             obs=hub,
-            **kw,
         )
-    return PerfModelAdaptationRunner(
-        pipe4, laptop(4), RuntimeConfig(seed=3), obs=hub, **kw
+    pe = ProcessingElement(pipe4, laptop(4), RuntimeConfig(seed=3))
+    return AdaptationExecutor(pe, obs=hub)
+
+
+def test_des_runner_is_a_backend(pipe4):
+    assert isinstance(_make("des", pipe4), AdaptationBackend)
+
+
+def test_job_runner_is_a_backend(pipe4):
+    assert isinstance(_make("job", pipe4), AdaptationBackend)
+
+
+def test_perfmodel_executor_is_a_backend(pipe4):
+    assert isinstance(_make("perfmodel", pipe4), AdaptationBackend)
+
+
+@pytest.mark.parametrize("substrate", SUBSTRATES)
+def test_backends_return_conforming_results(substrate, pipe4):
+    cache.clear()
+    result = run_periods(
+        _make(substrate, pipe4), 4, stop_after_stable_periods=None
     )
+    assert isinstance(result, BackendResult)
+    assert result.final_threads >= 1
+    assert result.final_n_queues >= 0
+    assert result.converged_throughput > 0
+    assert len(result.trace.observations) == 4
 
 
-SUBSTRATES = ["des", "perfmodel", "job"]
+def test_make_backend_dispatch():
+    """The scenario-level factory picks the right substrate."""
+    from repro.scenarios import compile_scenario, load_scenario
+    from repro.scenarios.run import make_backend
+
+    def backend(path):
+        return make_backend(compile_scenario(load_scenario(path)))
+
+    des = backend("scenarios/pipeline-smoke.yaml")
+    job = backend("scenarios/fig07-2pe-passthrough.yaml")
+    perfmodel = backend("scenarios/power8-data-parallel.yaml")
+    assert isinstance(des, DesAdaptationRunner)
+    assert isinstance(job, JobAdaptationRunner)
+    assert isinstance(perfmodel, AdaptationExecutor)
+    for b in (des, job, perfmodel):
+        assert isinstance(b, AdaptationBackend)
 
 
+# ----------------------------------------------------------------------
+# horizons are validated once, in the driver
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("substrate", SUBSTRATES)
+@pytest.mark.parametrize(
+    "max_periods, stop_after",
+    [
+        (0, None),
+        (-3, 8),
+        (2.0, None),
+        (True, None),
+        ("4", None),
+        (None, 8),
+        (4, 0),
+        (4, -1),
+    ],
+)
+def test_run_periods_rejects_bad_horizons(
+    substrate, max_periods, stop_after, pipe4
+):
+    with pytest.raises(ValueError):
+        run_periods(_make(substrate, pipe4), max_periods, stop_after)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda r: r.run(max_periods=0),
+        lambda r: r.run(max_periods=4, stop_after_stable_periods=0),
+    ],
+    ids=["max_periods=0", "stop_after=0"],
+)
+def test_des_run_rejects_bad_horizons(call, pipe4):
+    with pytest.raises(ValueError):
+        call(_make("des", pipe4))
+
+
+@pytest.mark.parametrize(
+    "duration_s", [math.nan, math.inf, -math.inf, 0.0, -5.0]
+)
+@pytest.mark.parametrize("stop_after", [None, 8])
+def test_executor_run_rejects_bad_durations(duration_s, stop_after, pipe4):
+    with pytest.raises(ValueError):
+        _make("perfmodel", pipe4).run(duration_s, stop_after)
+
+
+# ----------------------------------------------------------------------
+# the perfmodel clock: k periods of virtual time
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize(
+    "duration_s, period_s, periods",
+    [
+        (12.0, 5.0, 3),
+        (10.0, 5.0, 2),
+        (10.1, 5.0, 3),
+        (7.0, 2.5, 3),
+        (7.5, 2.5, 3),
+        (1.0, 30.0, 1),
+        (95.0, 10.0, 10),
+        (100.0, 20.0, 5),
+        (61.0, 30.0, 3),
+    ],
+)
+def test_executor_run_counts_and_stamps_periods(
+    duration_s, period_s, periods, pipe4
+):
+    config = RuntimeConfig(
+        seed=3, elasticity=ElasticityConfig(adaptation_period_s=period_s)
+    )
+    executor = AdaptationExecutor(ProcessingElement(pipe4, laptop(4), config))
+    result = executor.run(duration_s)
+    stamps = [o.time_s for o in result.trace.observations]
+    assert stamps == [k * period_s for k in range(1, periods + 1)]
+
+
+# ----------------------------------------------------------------------
+# warm-start conformance: one spec, three substrates
+# ----------------------------------------------------------------------
 @pytest.mark.parametrize("substrate", SUBSTRATES)
 def test_every_backend_accepts_warm_start_hints(substrate, pipe4, tmp_path):
     """The same WarmStartSpec drives every substrate through the
@@ -182,7 +197,7 @@ def test_every_backend_accepts_warm_start_hints(substrate, pipe4, tmp_path):
     runner.set_warm_start(
         WarmStartSpec(mode="model", store_dir=str(tmp_path))
     )
-    result = runner.run(max_periods=4, stop_after_stable_periods=None)
+    result = run_periods(runner, 4, stop_after_stable_periods=None)
     assert len(result.trace.observations) >= 1
     warm_rules = {
         d.rule for d in hub.decisions() if d.rule.startswith("F7-WARM")
@@ -204,7 +219,7 @@ def test_disabled_warm_start_is_byte_identical(substrate, pipe4):
         spec = kw.get("spec")
         if spec is not None:
             runner.set_warm_start(spec)
-        runner.run(max_periods=5, stop_after_stable_periods=None)
+        run_periods(runner, 5, stop_after_stable_periods=None)
         return tuple(
             (d.scope, d.rule, d.set_threads, d.set_n_queues)
             for d in hub.decisions()
@@ -231,7 +246,7 @@ def test_phase_store_round_trips_through_every_backend(
         hub = ObservabilityHub()
         runner = _make(substrate, pipe4, hub=hub)
         runner.set_warm_start(spec)
-        result = runner.run(max_periods=60, stop_after_stable_periods=8)
+        result = run_periods(runner, 60, stop_after_stable_periods=8)
         return result, hub
 
     first, _ = run_once()
