@@ -56,6 +56,7 @@ def test_profiled_adaptation_fast_path(benchmark):
             "sampled_memoized": {
                 "wall_s": round(run.wall_s, 4),
                 "sim_events": run.sim_events,
+                "events_elided": run.events_elided,
                 "events_per_s": round(events_per_s, 1),
                 "final_threads": run.final_threads,
                 "final_queues": list(run.final_queues),
@@ -72,7 +73,8 @@ def test_profiled_adaptation_fast_path(benchmark):
             [
                 "Profiled adaptation -- sampled accounting + memoization",
                 f"  wall            {run.wall_s:8.3f} s  "
-                f"{run.sim_events:10,d} events",
+                f"{run.sim_events:10,d} events "
+                f"({run.events_elided:,d} elided)",
                 f"  events/s        {events_per_s:10,.0f}",
                 f"  cache hits      {run.cache_hits}"
                 f" / {run.cache_hits + run.cache_misses} lookups",
@@ -91,6 +93,9 @@ def test_profiled_adaptation_fast_path(benchmark):
     assert list(run.final_queues) == golden["final_queues"]
     # The cache must actually be doing work.
     assert run.cache_hits > 0
+    # The kernel must keep resuming unobservable waits in place (the
+    # count is deterministic, so this holds on any machine).
+    assert run.events_elided > 0
     # Perf floor.
     assert events_per_s >= MIN_EVENTS_PER_S, (
         f"DES throughput regressed: {events_per_s:,.0f} events/s "

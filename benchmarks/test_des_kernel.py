@@ -92,6 +92,7 @@ def test_des_kernel_fast_path(benchmark):
     current = {
         "wall_s": round(wall, 4),
         "events": events,
+        "events_elided": engine.sim.events_elided,
         "events_per_s": round(events_per_s, 1),
         "wall_per_sim_s": round(wall_per_sim_s, 2),
         "sink_tuples_per_s": round(result.sink_tuples_per_s, 1),

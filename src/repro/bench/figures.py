@@ -201,11 +201,12 @@ class DesAdaptationScenario:
     be checked against a pinned decision log
     (``tests/bench/fig07_des_golden.json``).  ``sim_events`` counts only
     DES kernel events actually executed — measurement memo hits add
-    none.
+    none; ``events_elided`` of them resumed without the event heap.
     """
 
     wall_s: float
     sim_events: int
+    events_elided: int
     final_threads: int
     final_queues: Tuple[int, ...]
     converged_throughput: float
@@ -264,6 +265,7 @@ def fig07_des_adaptation(
     return DesAdaptationScenario(
         wall_s=wall,
         sim_events=runner.sim_events,
+        events_elided=runner.events_elided,
         final_threads=result.final_threads,
         final_queues=tuple(sorted(result.final_placement.queued)),
         converged_throughput=result.converged_throughput,

@@ -156,8 +156,10 @@ class DesAdaptationRunner:
         # profile_provider reads it instead of launching a run.
         self._last_profile: Optional[CostProfile] = None
         # DES kernel events actually executed across the whole run —
-        # memo hits contribute nothing (that is the point).
+        # memo hits contribute nothing (that is the point).  Of those,
+        # events_elided resumed in place without the heap.
         self.sim_events = 0
+        self.events_elided = 0
         self._arrivals_factory = arrivals_factory
         self._arrivals_key = arrivals_key
         self._overflow = overflow
@@ -269,6 +271,7 @@ class DesAdaptationRunner:
             )
         result = engine.run(warmup_s=self.warmup_s, measure_s=self.measure_s)
         self.sim_events += engine.sim.events_processed
+        self.events_elided += engine.sim.events_elided
         profile = profiler.profile(len(self.graph)) if profiler else None
         cell = (result, profile)
         if key is not None:

@@ -50,6 +50,7 @@ per-operator event granularity for cross-validation.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from typing import (
@@ -178,10 +179,10 @@ class _RegionPlan:
     flush timeout at this region's per-tuple cost (the tables stop
     there, so an out-of-range lookup is a bug, not a silent error).
 
-    ``help_coarse``/``help_fine`` replay :meth:`DesEngine._region_work`
-    for one entry tuple run inline by a backpressured producer (see
-    :meth:`DesEngine._push_with_help`), unprofiled and with a profiler
-    attached.  Both are ``None`` for regions that are not ``fast``.
+    ``help_coarse``/``help_fine`` list the yields ``_region_work``
+    makes for one entry tuple run inline by a backpressured producer
+    (:meth:`DesEngine._push_with_help` replays them), unprofiled and
+    with a profiler attached.  Both are ``None`` unless ``fast``.
     """
 
     ops: Tuple[Tuple[int, float, Optional[SimLock], float], ...]
@@ -206,22 +207,17 @@ class _Help(NamedTuple):
     """What ``_region_work`` does for one tuple of a fast region, as a
     list of yields.
 
-    Each step is ``(dt, sinks, locks, state, foldable)``: right before
-    yielding ``dt`` the generator has added the sink credits ``sinks``,
-    taken the locks ``locks`` (one acquisition each) and, with a
-    profiler attached, published operator ``state``; ``foldable`` is
-    False on the last step only.  ``tail_sinks`` are the credits it
-    adds after its last yield.  Delays use its float accumulation
-    order.
+    Each step is ``(dt, sinks, locks, state)``: right before yielding
+    ``dt`` the generator has added the sink credits ``sinks``, taken
+    the locks ``locks`` (one acquisition each) and, with a profiler
+    attached, published operator ``state``.  ``tail_sinks`` are the
+    credits it adds after its last yield.  Delays use its float
+    accumulation order.
     """
 
     steps: Tuple[
         Tuple[
-            float,
-            Tuple[float, ...],
-            Tuple[SimLock, ...],
-            Optional[int],
-            bool,
+            float, Tuple[float, ...], Tuple[SimLock, ...], Optional[int]
         ],
         ...,
     ]
@@ -243,7 +239,7 @@ def _help_plan(
     state: Optional[int] = None
 
     def step(dt: float) -> None:
-        steps.append((dt, tuple(sinks), tuple(locks), state, True))
+        steps.append((dt, tuple(sinks), tuple(locks), state))
         sinks.clear()
         locks.clear()
 
@@ -269,7 +265,6 @@ def _help_plan(
         step(pending + push_cost)
     elif pending:
         step(pending)
-    steps[-1] = steps[-1][:4] + (False,)
     return _Help(tuple(steps), tuple(sinks))
 
 
@@ -647,11 +642,11 @@ class DesEngine:
         sim = self.sim
         busy_s = self._busy_s
         fine_grained = self.profiler is not None
-        registry = self.registry if fine_grained else None
+        state = self.registry.state(thread_name) if fine_grained else None
         lock_s = self.machine.lock_uncontended_s
         for op_idx, dt, lock, sink_n in plan.ops:
-            if registry is not None:
-                registry.set_current(thread_name, op_idx)
+            if state is not None:
+                state.current_operator = op_idx
             if lock is not None:
                 if pending:
                     busy_s[thread_name] = (
@@ -677,8 +672,8 @@ class DesEngine:
                 self._sink_count += sink_n
         if count_source:
             self._source_count += 1.0
-        if registry is not None:
-            registry.set_current(thread_name, None)
+        if state is not None:
+            state.current_operator = None
         push_credit = self._push_credit
         for queue, credit_key, credit_incr, push_cost in plan.pushes:
             credit = push_credit.get(credit_key, 0.0) + credit_incr
@@ -715,15 +710,18 @@ class DesEngine:
         The emptiness/fullness checks are authoritative because the
         kernel handles a yielded request synchronously: no other process
         can run between our check and the corresponding Put.
+
+        A ``fast`` consumer replays its :class:`_Help` steps instead of
+        a :meth:`_region_work` generator; the kernel elides each step's
+        resumption when no other event can observe it.
         """
         consumer = self._region_by_entry[queue_op]
         plan = self._plans[queue_op]
         sim = self.sim
         busy_s = self._busy_s
-        registry = self.registry if self.profiler is not None else None
-        help_ = None
-        if plan.fast:
-            help_ = plan.help_fine if registry else plan.help_coarse
+        fine = self.profiler is not None
+        state = self.registry.state(thread_name) if fine else None
+        help_ = plan.help_fine if fine else plan.help_coarse
         while queue.is_full:
             port = self._region_locks[queue_op]
             if not sim.acquire_nowait(port):
@@ -743,42 +741,20 @@ class DesEngine:
                 )
                 sim.release_nowait(port)
                 continue
-            # A fast consumer replays _region_work's yields inline,
-            # folding each one that no other event could observe: it
-            # ends strictly before the next pending event and within
-            # the run_until horizon, and is not the last.  A folded
-            # chain wakes at the float time the yields would have
-            # reached, with its heap entry in the same order.
-            t = sim.now
-            bound = sim.next_event_time
-            horizon = sim.horizon
-            busy = busy_s.get(thread_name, 0.0)
-            for dt, sinks, locks, state, foldable in help_.steps:
+            # A fast consumer replays _region_work's yields inline.
+            for dt, sinks, locks, op_idx in help_.steps:
                 for sink_n in sinks:
                     self._sink_count += sink_n
                 for lk in locks:
                     lk.acquisitions += 1
-                busy += dt
-                t_next = t + dt
-                if foldable and t_next < bound and t_next <= horizon:
-                    t = t_next
-                    continue
-                # Only the state a yield leaves can be observed.
-                if registry is not None:
-                    registry.set_current(thread_name, state)
-                busy_s[thread_name] = busy
-                if t == sim.now:
-                    yield dt
-                else:
-                    yield WakeAt(t_next)
-                t = sim.now
-                bound = sim.next_event_time
-                horizon = sim.horizon
-                busy = busy_s.get(thread_name, 0.0)
+                if state is not None:
+                    state.current_operator = op_idx
+                busy_s[thread_name] = busy_s.get(thread_name, 0.0) + dt
+                yield dt
             for sink_n in help_.tail_sinks:
                 self._sink_count += sink_n
-            if registry is not None:
-                registry.set_current(thread_name, None)
+            if state is not None:
+                state.current_operator = None
             push = plan.push
             if push is not None:
                 pqueue, pqueue_op, _cost = push
@@ -1272,6 +1248,8 @@ class DesEngine:
         """
         if self._started:
             raise RuntimeError("attach_profiler must precede start()")
+        if not 0 < period_s < math.inf:
+            raise ValueError(f"period_s must be finite and > 0: {period_s}")
         if self.profiler is not None:
             if period_s != self._profiler_period:
                 raise ValueError(
@@ -1369,6 +1347,11 @@ class DesEngine:
                     self._m_tallies[name].inc(now - then)
             self._published = tallies
 
+        if not (0 <= warmup_s < math.inf and 0 < measure_s < math.inf):
+            raise ValueError(
+                "need a finite warmup_s >= 0 and measure_s > 0, got "
+                f"{warmup_s!r} and {measure_s!r}"
+            )
         if not self._started:
             self.start()
         self.sim.run_until(self.sim.now + warmup_s)

@@ -28,6 +28,13 @@ scheduling a resumption allocates no closure, and dispatch in
 any request-object handling).  Hot process bodies should ``yield dt``
 rather than ``yield Timeout(dt)`` to skip the per-event dataclass
 allocation; both spellings have identical semantics.
+
+A timed wait (delay or :class:`WakeAt`) that ends strictly before the
+earliest pending entry and within the current :meth:`run_until`
+horizon resumes in place (*resumption elision*): the heap would have
+popped exactly that entry next, since a new entry takes the largest
+sequence number and so loses every tie.  The resumption still counts
+in ``events_processed`` and is tallied in ``events_elided``.
 """
 
 from __future__ import annotations
@@ -51,7 +58,7 @@ class Timeout(Request):
     delay: float
 
     def __post_init__(self) -> None:
-        if self.delay < 0:
+        if not self.delay >= 0:
             raise ValueError(f"negative timeout: {self.delay}")
 
 
@@ -182,11 +189,13 @@ class Simulator:
         self._seq = itertools.count()
         self._tasks: List[_Task] = []
         self.events_processed = 0
+        # Resumptions run in place, without the heap (see _advance).
+        self.events_elided = 0
         self.deadlocked = False
         self.deadlock_tasks: Tuple[str, ...] = ()
         # Latest time the current run_until call will dispatch: its
-        # t_end (-inf before the first call).  Processes that coalesce
-        # a chain of their own future events never fold one past it.
+        # t_end (-inf before the first call).  No resumption is
+        # elided, and no process coalesces its own events, past it.
         self.horizon = -math.inf
         self._current: Optional[_Task] = None
         self._handlers = {
@@ -217,7 +226,8 @@ class Simulator:
     def run_until(self, t_end: float) -> int:
         """Process events until simulated time reaches ``t_end``.
 
-        Returns the number of events dispatched by this call.
+        Returns the number of resumptions dispatched by this call,
+        elided ones included.  ``t_end`` must not be NaN.
 
         If the heap drains while live tasks remain (all of them blocked
         on queues, locks or parked — with no pending event that could
@@ -226,16 +236,20 @@ class Simulator:
         caller measuring throughput over the window can tell "nothing
         ran" apart from "ran and produced nothing".
         """
+        if math.isnan(t_end):
+            raise ValueError("run_until: t_end is NaN")
         heap = self._heap
         pop = heapq.heappop
         advance = self._advance
         n = 0
+        elided = self.events_elided
         self.horizon = t_end
         while heap and heap[0][0] <= t_end:
             time, _seq, task, value = pop(heap)
             self.now = time
             advance(task, value)
             n += 1
+        n += self.events_elided - elided
         self.events_processed += n
         if not heap:
             stuck = tuple(t.name for t in self._tasks if t.alive)
@@ -331,12 +345,10 @@ class Simulator:
         non-empty queue, a Put into free capacity, an uncontended
         Acquire, any Release) is satisfied synchronously and the task
         is resumed immediately, without a round-trip through the event
-        heap.  Only timeouts and genuinely blocking requests suspend
-        the task.  Semantically this is the old behaviour with the
-        zero-delay self-resumption events elided; processes woken *by*
-        this task (a getter handed an item, a lock passed to a waiter)
-        still go through the heap, preserving FIFO fairness and
-        deterministic ordering.
+        heap.  So is a timed wait that no pending event precedes (see
+        the module docstring).  Processes woken *by* this task (a getter
+        handed an item, a lock passed to a waiter) still go through the
+        heap, preserving FIFO fairness and deterministic ordering.
         """
         if not task.alive:
             return
@@ -344,6 +356,7 @@ class Simulator:
         heap = self._heap
         seq = self._seq
         now = self.now
+        horizon = self.horizon
         push = heapq.heappush
         send = task.process.send
         while True:
@@ -354,25 +367,22 @@ class Simulator:
                 return
             cls = request.__class__
             # Hot path: bare numeric timeout — no request object at all.
+            # ``not x >= 0`` also rejects NaN, which breaks heap order.
             if cls is float or cls is int:
-                if request < 0:
+                if not request >= 0:
                     raise ValueError(
                         f"negative timeout {request} from {task.name}"
                     )
-                push(heap, (now + request, next(seq), task, None))
-                return
-            if cls is Timeout:
-                push(heap, (now + request.delay, next(seq), task, None))
-                return
-            if cls is WakeAt:
-                if request.time < now:
+                t = now + request
+            elif cls is Timeout:
+                t = now + request.delay
+            elif cls is WakeAt:
+                t = request.time
+                if not t >= now:
                     raise ValueError(
-                        f"wake time {request.time} before now {now} "
-                        f"from {task.name}"
+                        f"wake time {t} before now {now} from {task.name}"
                     )
-                push(heap, (request.time, next(seq), task, None))
-                return
-            if cls is Get:
+            elif cls is Get:
                 queue = request.queue
                 if queue.items:
                     value = queue.items.popleft()
@@ -382,7 +392,7 @@ class Simulator:
                     continue
                 queue.getters.append(task)
                 return
-            if cls is Put:
+            elif cls is Put:
                 queue = request.queue
                 if queue.getters:
                     getter = queue.getters.popleft()
@@ -400,7 +410,7 @@ class Simulator:
                     continue
                 queue.putters.append((task, request.item))
                 return
-            if cls is Acquire:
+            elif cls is Acquire:
                 lock = request.lock
                 if lock.held_by is None:
                     lock.held_by = task
@@ -409,7 +419,7 @@ class Simulator:
                     continue
                 lock.waiters.append(task)
                 return
-            if cls is Release:
+            elif cls is Release:
                 lock = request.lock
                 if lock.held_by is not task:
                     raise RuntimeError(
@@ -425,18 +435,30 @@ class Simulator:
                     lock.held_by = None
                 value = None
                 continue
-            if cls is ParkUntilNonEmpty:
+            elif cls is ParkUntilNonEmpty:
                 self._handle_park_req(task, request)
                 return
-            # Tolerate subclasses of the request dataclasses (cold
-            # path; resumption goes through the heap).
-            for base, fallback in self._handlers.items():
-                if isinstance(request, base):
-                    fallback(task, request)
-                    return
-            raise TypeError(
-                f"unknown request {request!r} from {task.name}"
-            )
+            else:
+                # Tolerate subclasses of the request dataclasses (cold
+                # path; resumption goes through the heap).
+                for base, fallback in self._handlers.items():
+                    if isinstance(request, base):
+                        fallback(task, request)
+                        return
+                raise TypeError(
+                    f"unknown request {request!r} from {task.name}"
+                )
+            # Only a timed wait gets here.  Resumption elision: a wake
+            # strictly before every pending entry (a tie goes to the
+            # older entry) and within the run_until horizon is the one
+            # the heap would pop next, so the task resumes in place.
+            if t <= horizon and (not heap or t < heap[0][0]):
+                self.now = now = t
+                self.events_elided += 1
+                value = None
+                continue
+            push(heap, (t, next(seq), task, None))
+            return
 
     # ------------------------------------------------------------------
     # per-type handlers (type-keyed; unpack the request, then act)

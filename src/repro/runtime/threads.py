@@ -79,6 +79,11 @@ class ThreadRegistry:
         self._threads[name] = state
         return state
 
+    def state(self, name: str) -> ThreadState:
+        """``name``'s state, for hot loops that publish by assigning
+        ``current_operator`` (what :meth:`set_current` does)."""
+        return self._threads[name]
+
     def set_current(self, name: str, operator: Optional[int]) -> None:
         """Publish the operator ``name`` is about to execute (None=idle).
 

@@ -190,3 +190,40 @@ class TestModelCrossValidation:
             des_with.sink_tuples_per_s
             > 0.7 * des_without.sink_tuples_per_s
         )
+
+
+class TestWindowValidation:
+    """Windows and the profiler period are validated up front: a zero
+    period would never let simulated time advance, and a NaN or
+    negative window measures nothing."""
+
+    def _engine(self, machine):
+        g = pipeline(3, cost_flops=1000.0)
+        return DesEngine(g, machine, QueuePlacement.empty(), 0)
+
+    @pytest.mark.parametrize(
+        "period_s", [0.0, -1.0e-4, float("nan"), float("inf")]
+    )
+    def test_rejects_bad_profiler_period(self, machine, period_s):
+        with pytest.raises(ValueError, match="period_s"):
+            self._engine(machine).attach_profiler(period_s=period_s)
+
+    @pytest.mark.parametrize(
+        "warmup_s, measure_s",
+        [
+            (0.0001, float("nan")),
+            (0.0001, -0.001),
+            (0.0001, 0.0),
+            (0.0001, float("inf")),
+            (float("nan"), 0.001),
+            (-0.001, 0.001),
+            (float("inf"), 0.001),
+        ],
+    )
+    def test_rejects_bad_window(self, machine, warmup_s, measure_s):
+        with pytest.raises(ValueError, match="warmup_s >= 0"):
+            self._engine(machine).run(warmup_s=warmup_s, measure_s=measure_s)
+
+    def test_zero_warmup_is_legal(self, machine):
+        result = self._engine(machine).run(warmup_s=0.0, measure_s=0.001)
+        assert result.sink_tuples > 0

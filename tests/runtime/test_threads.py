@@ -19,6 +19,16 @@ class TestThreadRegistry:
         reg.set_current("t0", 5)
         assert reg.snapshot() == (("t0", 5),)
 
+    def test_state_handle_publishes(self):
+        reg = ThreadRegistry()
+        registered = reg.register("t0")
+        handle = reg.state("t0")
+        assert handle is registered
+        handle.current_operator = 4
+        assert reg.snapshot() == (("t0", 4),)
+        with pytest.raises(KeyError):
+            reg.state("t1")
+
     def test_duplicate_registration_rejected(self):
         reg = ThreadRegistry()
         reg.register("t0")
