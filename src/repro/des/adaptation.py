@@ -22,9 +22,16 @@ Profiling from execution follows §3.1's continuous sampling: with
 the profiler thread, which snapshots every executing thread's
 per-thread state variable during the period — the profile falls out of
 the run the coordinator was measuring anyway, no dedicated profiling
-run needed.  This is only sound because sampled accounting is
-*non-intrusive*: the engine keeps its coalesced fast path, so the
-profiled run measures exactly what an unprofiled run would.
+run needed.  Sampled accounting keeps the engine's coalesced fast
+path, so a profiled run is identical to an unprofiled one when every
+region it executes is ``fast`` and no producer is backpressured into
+helping a consumer.  It is not identical otherwise: a profiled run
+still advances once per operator on regions that are not ``fast`` and
+on backpressure helps, which can move the measurement slightly (with
+every non-source operator of ``data-parallel-fan`` queued, 4 threads,
+1 ms + 4 ms: 5,768,500 sink tuples/s unprofiled vs 5,766,500
+profiled; ``thread_busy_fraction`` also differs on the fig07 pipeline
+with 5 queues).
 
 Measurement memoization: a period's outcome is deterministic in
 ``(graph, placement, threads, machine, seed, windows)``, and the

@@ -24,7 +24,8 @@ import enum
 from dataclasses import dataclass, replace
 from types import MappingProxyType
 from typing import (
-    Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple,
+    Dict, Iterable, Iterator, List, Mapping, NamedTuple, Optional,
+    Sequence, Tuple,
 )
 
 
@@ -171,6 +172,23 @@ class StreamEdge:
             raise ValueError(f"self loops are not allowed: {self}")
 
 
+class LinearChains(NamedTuple):
+    """The operators partitioned into maximal linear chains.
+
+    Consecutive operators of a chain are joined by an edge that is the
+    only out-edge of the first and the only in-edge of the second, so a
+    tuple reaching a chain operator flows through the rest of the chain
+    in order unless a queue cuts it.
+    """
+
+    chain: Tuple[int, ...]  # operator -> chain id
+    position: Tuple[int, ...]  # operator -> position in its chain
+    ops: Tuple[Tuple[int, ...], ...]  # chain id -> operators in order
+    # chain id -> edge-rate multiplier of each operator, as ``0.0 + m``
+    # (the first term of a fan-in sum), so a -0.0 selectivity yields 0.0
+    multipliers: Tuple[Tuple[float, ...], ...]
+
+
 class GraphValidationError(ValueError):
     """Raised when a stream graph violates a structural invariant."""
 
@@ -185,7 +203,8 @@ class StreamGraph:
     - forward and reverse adjacency,
     - the tuple spec describing payloads on its streams,
     - quantities derived once from the structure: topological order,
-      sources and sinks, edge-rate multipliers and arrival rates.
+      sources and sinks, edge-rate multipliers, arrival rates and
+      linear chains.
 
     Instances are conceptually immutable; the only sanctioned mutation is
     :meth:`replace_costs`, which returns a **new** graph (used for
@@ -234,6 +253,11 @@ class StreamGraph:
                 rates[succ] += per_succ
         self._arrival_rates = rates
         self._sink_rate = sum(rates[op.index] for op in self._sinks)
+        positions = [0] * len(self._operators)
+        for pos, idx in enumerate(self._topo_order):
+            positions[idx] = pos
+        self._topo_positions = tuple(positions)
+        self._chains = self._compute_chains()
 
     # ------------------------------------------------------------------
     # construction-time validation
@@ -278,6 +302,27 @@ class StreamGraph:
         if len(order) != len(self._operators):
             raise GraphValidationError("stream graph contains a cycle")
         return tuple(order)
+
+    def _compute_chains(self) -> LinearChains:
+        n = len(self._operators)
+        chain, position = [0] * n, [0] * n
+        ops: List[List[int]] = []
+        for idx in self._topo_order:
+            preds = self._predecessors[idx]
+            if len(preds) == 1 and len(self._successors[preds[0]]) == 1:
+                chain[idx] = chain[preds[0]]
+                position[idx] = position[preds[0]] + 1
+                ops[chain[idx]].append(idx)
+            else:
+                chain[idx] = len(ops)
+                ops.append([idx])
+        mults = self._edge_multipliers
+        return LinearChains(
+            tuple(chain),
+            tuple(position),
+            tuple(map(tuple, ops)),
+            tuple(tuple(0.0 + mults[i] for i in c) for c in ops),
+        )
 
     def _validate_structure(self) -> None:
         for op in self._operators:
@@ -339,6 +384,16 @@ class StreamGraph:
 
     def topological_order(self) -> Tuple[int, ...]:
         return self._topo_order
+
+    @property
+    def topological_positions(self) -> Tuple[int, ...]:
+        """Each operator's index in :meth:`topological_order`."""
+        return self._topo_positions
+
+    @property
+    def linear_chains(self) -> LinearChains:
+        """The chains :func:`~repro.runtime.regions.decompose` walks."""
+        return self._chains
 
     @property
     def sources(self) -> Tuple[Operator, ...]:

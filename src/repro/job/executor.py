@@ -37,9 +37,15 @@ while preserving the skew effects that make partitioning interesting
 PEs step in topological order inside each period, so an upstream
 emission is already measured by the time its consumer's schedule is
 derived — shaped channels couple from the very first period.  Derived
-rates are quantized to 4 significant digits so the measurement
-memoizer sees stable keys across periods that converged to the same
-coupling.
+rates are quantized to 4 significant digits, an error far below the
+SENS threshold.  That does not make derived-schedule periods hit the
+measurement memo: every open-loop measurement key also holds the
+period's start time, so each period of a PE with a derived schedule is
+simulated afresh (0 of 28 lookups hit on ``multi-pe-keyhash-scale``, 0
+of 24 on ``multi-pe-sink-contention``, at ``jobs=1``).  The start time
+stays in the key on purpose: two periods' arrival windows differ in
+the last bits of their arrival times, so replaying one for the other
+would move decision logs.
 
 Parallel execution (``jobs > 1``): PEs whose ingress schedules are
 mutually independent this period — the same channel-topology wave,
@@ -83,7 +89,7 @@ _CHANNEL_SEED_STRIDE = 1_000_003
 
 
 def _quantize(rate: float) -> float:
-    """4 significant digits: stable cache keys, sub-SENS rate error."""
+    """4 significant digits: a rate error far below SENS."""
     return float(f"{rate:.4g}")
 
 

@@ -140,7 +140,7 @@ class PerformanceModel:
         locked = self._locked
         for region in decomp.regions:
             work = 0.0
-            for op_idx, rate in region.op_rates:
+            for op_idx, rate in zip(region.operators, region.rates):
                 per_tuple = base_cost[op_idx]
                 if op_idx in locked:
                     contenders = min(decomp.threads_reaching(op_idx), active)

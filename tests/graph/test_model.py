@@ -248,3 +248,47 @@ class TestGraphMutation:
     def test_total_cost(self, chain10):
         # 10 ops x 1000 + source 10 + sink 10
         assert chain10.total_cost_flops() == pytest.approx(10020.0)
+
+
+class TestLinearChains:
+    def _chains(self, graph):
+        """Chains as lists of operator names."""
+        return [
+            [graph.operator(i).name for i in ops]
+            for ops in graph.linear_chains.ops
+        ]
+
+    def test_pipeline_is_one_chain(self, chain10):
+        chains = chain10.linear_chains
+        assert chains.ops == (chain10.topological_order(),)
+        assert chains.multipliers == (chain10.edge_rate_multipliers,)
+        for pos, idx in enumerate(chain10.topological_order()):
+            assert (chains.chain[idx], chains.position[idx]) == (0, pos)
+
+    def test_branch_and_merge_end_chains(self, diamond):
+        assert self._chains(diamond) == [
+            ["src", "a"], ["b"], ["c"], ["d", "snk"]
+        ]
+        chains = diamond.linear_chains
+        for c, ops in enumerate(chains.ops):
+            for pos, idx in enumerate(ops):
+                assert (chains.chain[idx], chains.position[idx]) == (c, pos)
+
+    def test_parallel_edges_end_a_chain(self):
+        ops = _simple_ops()
+        g = StreamGraph(ops, _simple_edges() + [StreamEdge(1, 2)])
+        assert self._chains(g) == [["src", "mid"], ["snk"]]
+
+    def test_negative_zero_selectivity_multiplier_is_positive(self):
+        ops = _simple_ops()
+        ops[1] = _op(1, "mid", selectivity=-0.0)
+        g = StreamGraph(ops, _simple_edges())
+        assert str(g.edge_rate_multiplier(1)) == "-0.0"
+        assert str(g.linear_chains.multipliers[0][1]) == "0.0"
+
+    def test_topological_positions_invert_the_order(self, diamond):
+        order = diamond.topological_order()
+        positions = diamond.topological_positions
+        assert [order[positions[i]] for i in range(len(diamond))] == list(
+            range(len(diamond))
+        )

@@ -219,3 +219,28 @@ class TestSelectivityRegions:
         assert src_region.push_rates == ((w1.index, pytest.approx(0.5)),)
         dyn = d.dynamic_regions[0]
         assert dyn.op_rate(snk.index) == pytest.approx(0.5)
+
+    @pytest.mark.parametrize("fan_out", [False, True])
+    @pytest.mark.parametrize("queue_work", [False, True])
+    def test_zero_selectivity_stops_the_rates(self, queue_work, fan_out):
+        """A -0.0 selectivity gives +0.0 rates downstream, as the fan-in
+        sum 0.0 + rate * -0.0 does, and operators no tuple reaches count
+        no threads."""
+        b = GraphBuilder("dead")
+        src = b.add_source("src")
+        drop = b.add_operator("drop", selectivity=-0.0)
+        work = b.add_operator("work", uses_lock=True)
+        snk = b.add_sink("snk")
+        b.chain(src, drop, work, snk)
+        if fan_out:
+            side = b.add_operator("side")
+            b.connect(drop, side).connect(side, snk)
+        g = b.build()
+        queued = [work.index] if queue_work else []
+        d = decompose(g, QueuePlacement.of(queued))
+        rates = [r for region in d.regions for r in region.rates]
+        rates += [r for region in d.regions for _q, r in region.push_rates]
+        assert [str(r) for r in rates].count("-0.0") == 0
+        assert d.threads_reaching(drop.index) == 1
+        assert d.threads_reaching(work.index) == 0
+        assert d.threads_reaching(snk.index) == 0
