@@ -37,6 +37,7 @@ from ..runtime.events import AdaptationTrace
 from ..runtime.executor import AdaptationExecutor
 from ..runtime.pe import ProcessingElement
 from ..runtime.pool import run_cells
+from ..sums import left_sum
 from .harness import (
     Comparison,
     compare,
@@ -473,12 +474,14 @@ def fig13_phase_change(
         queues_before=before[-1].n_queues if before else 0,
         queues_after=after[-1].n_queues if after else 0,
         throughput_before=(
-            sum(o.true_throughput for o in before[-8:]) / len(before[-8:])
+            left_sum(o.true_throughput for o in before[-8:])
+            / len(before[-8:])
             if before
             else 0.0
         ),
         throughput_after=(
-            sum(o.true_throughput for o in after[-8:]) / len(after[-8:])
+            left_sum(o.true_throughput for o in after[-8:])
+            / len(after[-8:])
             if after
             else 0.0
         ),

@@ -20,6 +20,7 @@ from typing import Dict, List, Sequence, Tuple
 
 from ..graph.analysis import queueable_indices
 from ..graph.model import StreamGraph
+from ..sums import left_sum
 from .profiler import CostProfile
 
 
@@ -107,7 +108,9 @@ def build_groups(
     groups: List[ProfilingGroup] = []
     for bin_key in sorted(bins):
         members = tuple(sorted(bins[bin_key]))
-        mean_metric = sum(metrics.get(i, 0) for i in members) / len(members)
+        mean_metric = (
+            left_sum(metrics.get(i, 0) for i in members) / len(members)
+        )
         groups.append(
             ProfilingGroup(
                 members=members, representative_metric=mean_metric

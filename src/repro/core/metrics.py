@@ -12,6 +12,8 @@ import enum
 from dataclasses import dataclass, field
 from typing import List, Optional
 
+from ..sums import left_sum
+
 
 class Trend(enum.Enum):
     """Direction of a throughput change between two observations."""
@@ -85,7 +87,7 @@ class ThroughputSensor:
             return 0.0
         n = n or self.window
         tail = self._history[-n:]
-        return sum(tail) / len(tail)
+        return left_sum(tail) / len(tail)
 
     def trend(self, sens: float) -> Trend:
         """Trend between the last two observations."""

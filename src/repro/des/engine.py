@@ -71,6 +71,7 @@ from ..perfmodel.machine import MachineProfile
 from ..runtime.queues import QueuePlacement
 from ..runtime.regions import Region, decompose
 from ..runtime.threads import SnapshotProfiler, ThreadRegistry
+from ..sums import left_sum
 from .channels import DEFAULT_CHANNEL, ChannelConfig
 from .kernel import (
     Acquire,
@@ -296,7 +297,7 @@ class DesResult:
         """Average busy fraction over all threads (0 when unknown)."""
         if not self.thread_busy_fraction:
             return 0.0
-        return sum(f for _n, f in self.thread_busy_fraction) / len(
+        return left_sum(f for _n, f in self.thread_busy_fraction) / len(
             self.thread_busy_fraction
         )
 
@@ -463,6 +464,9 @@ class DesEngine:
         graph = self.graph
         scale = 1.0 / region.entry_rate if region.entry_rate > 0 else 0.0
         ops = []
+        # Left-to-right totals of the executed operators' dt and sink
+        # counts, as repro.sums.left_sum would take them.
+        flat_dt = sink_total = 0
         for op_idx, rate in region.op_rates:
             n = rate * scale
             if n <= 0.0:
@@ -473,14 +477,10 @@ class DesEngine:
                 + machine.call_overhead_s
                 + machine.submit_overhead_s * op.selectivity
             )
-            ops.append(
-                (
-                    op_idx,
-                    dt,
-                    self._op_locks.get(op_idx),
-                    n if op.is_sink else 0.0,
-                )
-            )
+            sink = n if op.is_sink else 0.0
+            ops.append((op_idx, dt, self._op_locks.get(op_idx), sink))
+            flat_dt += dt
+            sink_total += sink
         push_cost = (
             machine.copy_time(graph.tuple_spec.payload_bytes)
             + machine.lock_uncontended_s
@@ -537,7 +537,7 @@ class DesEngine:
                 # fine-grained path publishes idle before pushing.
                 seg_ops.append(None)
                 seg_durs.append(pushes[0][3])
-            if seg_durs and sum(seg_durs) > 0.0:
+            if seg_durs and left_sum(seg_durs) > 0.0:
                 # The scheduler path merges scan + pop-sync cost into
                 # the first segment (the fine-grained path seeds it
                 # into the first operator's pending timeout).
@@ -554,7 +554,6 @@ class DesEngine:
                 prof_ops = tuple(seg_ops)
                 prof_bounds_src = tuple(bounds_src)
                 prof_bounds_sched = tuple(bounds_sched)
-        flat_dt = sum(dt for _i, dt, _l, _s in ops_t)
         # Batched-channel cost tables: burst_*[b] = simulated span of
         # one coalesced event carrying b tuples, accumulated from the
         # per-tuple cost (numpy running sum — identical arithmetic to
@@ -599,7 +598,7 @@ class DesEngine:
             pushes=pushes,
             fast=fast,
             flat_dt=flat_dt,
-            sink_total=sum(s for _i, _dt, _l, s in ops_t),
+            sink_total=sink_total,
             push=(
                 (pushes[0][0], pushes[0][1][1], pushes[0][3])
                 if fast and pushes

@@ -22,11 +22,16 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, replace
+from itertools import accumulate
 from types import MappingProxyType
 from typing import (
     Dict, Iterable, Iterator, List, Mapping, NamedTuple, Optional,
     Sequence, Tuple,
 )
+
+import numpy as np
+
+from ..sums import left_sum
 
 
 class FanoutPolicy(enum.Enum):
@@ -187,6 +192,23 @@ class LinearChains(NamedTuple):
     # chain id -> edge-rate multiplier of each operator, as ``0.0 + m``
     # (the first term of a fan-in sum), so a -0.0 selectivity yields 0.0
     multipliers: Tuple[Tuple[float, ...], ...]
+    # Read-only arrays over the chains laid end to end in chain id
+    # order ("flat" indices 0..n-1, n = len(graph)), for the gathers of
+    # decompose.  Flat index n holds operator n at multiplier 1.0.
+    flat_ops: np.ndarray  # flat index -> operator (n + 1)
+    flat_index: np.ndarray  # operator -> flat index (n + 1)
+    flat_end: np.ndarray  # operator -> flat index past its chain (n)
+    # The multiplier at each flat index, then the arrival rate of the
+    # operator at each flat index (2n + 2)
+    flat_factors: np.ndarray
+    # Whether flat index - 1 holds the last operator of a chain that
+    # ends at a branch or merge (n + 1)
+    flat_walks: np.ndarray
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
 
 
 class GraphValidationError(ValueError):
@@ -252,12 +274,13 @@ class StreamGraph:
             for succ in self._successors[idx]:
                 rates[succ] += per_succ
         self._arrival_rates = rates
-        self._sink_rate = sum(rates[op.index] for op in self._sinks)
+        self._sink_rate = left_sum(rates[op.index] for op in self._sinks)
         positions = [0] * len(self._operators)
         for pos, idx in enumerate(self._topo_order):
             positions[idx] = pos
         self._topo_positions = tuple(positions)
-        self._chains = self._compute_chains()
+        # Built on first use: only graphs that are decomposed need them.
+        self._chains: Optional[LinearChains] = None
 
     # ------------------------------------------------------------------
     # construction-time validation
@@ -317,11 +340,38 @@ class StreamGraph:
                 chain[idx] = len(ops)
                 ops.append([idx])
         mults = self._edge_multipliers
+        chain_mults = tuple(tuple(0.0 + mults[i] for i in c) for c in ops)
+        flat_ops = [i for c in ops for i in c] + [n]
+        flat_index = [0] * (n + 1)
+        for pos, idx in enumerate(flat_ops):
+            flat_index[idx] = pos
+        ends = list(accumulate(map(len, ops)))
+        rates = self._arrival_rates
+        succs = self._successors
         return LinearChains(
             tuple(chain),
             tuple(position),
             tuple(map(tuple, ops)),
-            tuple(tuple(0.0 + mults[i] for i in c) for c in ops),
+            chain_mults,
+            _read_only(np.array(flat_ops, dtype=np.intp)),
+            _read_only(np.array(flat_index, dtype=np.intp)),
+            _read_only(np.array([ends[c] for c in chain], dtype=np.intp)),
+            _read_only(
+                np.array(
+                    [m for c in chain_mults for m in c]
+                    + [1.0]
+                    + [rates[i] for i in flat_ops[:n]]
+                    + [1.0],
+                    dtype=np.float64,
+                )
+            ),
+            _read_only(
+                np.array(
+                    [False]
+                    + [bool(succs[c[-1]]) and pos == len(c) - 1
+                       for c in ops for pos in range(len(c))]
+                )
+            ),
         )
 
     def _validate_structure(self) -> None:
@@ -393,7 +443,10 @@ class StreamGraph:
     @property
     def linear_chains(self) -> LinearChains:
         """The chains :func:`~repro.runtime.regions.decompose` walks."""
-        return self._chains
+        chains = self._chains
+        if chains is None:
+            chains = self._chains = self._compute_chains()
+        return chains
 
     @property
     def sources(self) -> Tuple[Operator, ...]:
@@ -414,7 +467,7 @@ class StreamGraph:
     # ------------------------------------------------------------------
     def total_cost_flops(self) -> float:
         """Sum of per-tuple costs over all operators (balanced view)."""
-        return sum(op.cost_flops for op in self._operators)
+        return left_sum(op.cost_flops for op in self._operators)
 
     def edge_rate_multiplier(self, src: int) -> float:
         """Per-successor rate multiplier for operator ``src``'s outputs.

@@ -78,6 +78,7 @@ from ..runtime.executor import run_periods
 from ..runtime.pool import POOL_START_ERRORS, WorkerPoolError, job_workers
 from ..scenarios.arrivals import ArrivalProcess
 from ..scenarios.schema import ArrivalKind, ArrivalSpec, PartitionStrategy
+from ..sums import left_sum
 from .coordinator import JobCoordinator, PeSummary
 from .graph import JobGraph, PeSubgraph
 from .partition import Router, make_router
@@ -608,7 +609,7 @@ class JobAdaptationRunner:
             rates, effective = self._ingress_schedule(pe)
             self._install_arrivals(pe, rates)
             self._installed_rate[pe.name] = (
-                sum(rates.values()) if rates else None
+                left_sum(rates.values()) if rates else None
             )
             observed = runner.step_period(k)
             self._emission[pe.name] = observed * effective
@@ -638,7 +639,7 @@ class JobAdaptationRunner:
             for pe in wave:
                 rates, effective = self._ingress_schedule(pe)
                 self._installed_rate[pe.name] = (
-                    sum(rates.values()) if rates else None
+                    left_sum(rates.values()) if rates else None
                 )
                 session.submit_step(pe.name, k, rates)
                 dispatched.append((pe, effective))

@@ -37,6 +37,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from ..graph.builder import GraphBuilder
 from ..graph.model import StreamGraph
 from ..scenarios.schema import PartitionSpec, PartitionStrategy, PeSpec
+from ..sums import left_sum
 
 
 class JobGraphError(ValueError):
@@ -105,7 +106,7 @@ class PeSubgraph:
         total = self.graph.sink_rate()
         if total <= 0.0:
             return 0.0
-        real = sum(
+        real = left_sum(
             rates[op.index]
             for op in self.graph.sinks
             if not op.name.startswith("out:")

@@ -30,6 +30,7 @@ import hashlib
 from typing import Optional, Tuple
 
 from ..scenarios.schema import PartitionStrategy
+from ..sums import left_sum
 
 # Sequence window over which empirical shuffle shares are measured.
 # 1<<12 tuples per replica-count keeps the estimate within ~2% of the
@@ -78,7 +79,7 @@ class Router:
         simulated replica's emission up to the whole PE's.
         """
         shares = self.shares()
-        return sum(shares) / max(shares)
+        return left_sum(shares) / max(shares)
 
 
 class ForwardRouter(Router):

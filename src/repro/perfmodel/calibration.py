@@ -29,6 +29,7 @@ from ..des.engine import measure_throughput
 from ..graph.model import StreamGraph
 from ..graph.topologies import pipeline
 from ..runtime.queues import QueuePlacement
+from ..sums import left_sum
 from .machine import MachineProfile
 from .throughput import PerformanceModel
 
@@ -150,7 +151,7 @@ def fit_flops_rate(
             warmup_s=0.002,
             measure_s=measure_s,
         )
-        total_flops = sum(op.cost_flops for op in graph)
+        total_flops = left_sum(op.cost_flops for op in graph)
         xs.append(total_flops)
         ys.append(1.0 / result.source_tuples_per_s)
     slope, _intercept = np.polyfit(np.array(xs), np.array(ys), 1)

@@ -33,6 +33,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
+import numpy as np
+
 from ..graph.model import StreamGraph
 from ..runtime.queues import QueuePlacement
 from ..runtime.regions import RegionDecomposition, decompose
@@ -84,6 +86,11 @@ class PerformanceModel:
     of the most recent placement is kept, since the adaptation loop
     evaluates one placement over many consecutive periods and thread
     counts, and revisited placements hit the estimate cache instead.
+
+    An estimate prices the decomposition's region table
+    (:class:`~repro.runtime.regions.RegionDecomposition`) with numpy
+    scans that add in the same order, and so give the same floats, as a
+    loop over every region member would.
     """
 
     def __init__(self, graph: StreamGraph, machine: MachineProfile) -> None:
@@ -113,8 +120,8 @@ class PerformanceModel:
 
         machine = self.machine
         decomp = self.decomposition(placement)
-        n_sources = len(decomp.source_regions)
-        n_dynamic = len(decomp.dynamic_regions)
+        n_sources = decomp.n_sources
+        n_dynamic = decomp.n_regions - n_sources
         n_queues = placement.n_queues
 
         sched_used = min(scheduler_threads, n_dynamic)
@@ -129,36 +136,51 @@ class PerformanceModel:
         t_pop = pop_cost(machine, active, n_queues) if n_queues else 0.0
         t_push = push_cost(machine, active, n_queues, payload)
 
-        region_work = []
-        copied_bytes_per_tuple = 0.0
-        w_src_total = 0.0
-        w_dyn_total = 0.0
-        serial_max = 0.0
-        bottleneck_entry: Optional[int] = None
+        # The cost of each term key of the region table: every
+        # operator's per-tuple cost, a locked one's plus its lock,
+        # contended by the threads that can reach it at once; then 0.0
+        # for padding, the pop cost and the push cost into each queue.
+        n = len(self.graph)
+        cost = self._base_cost.copy()
+        cost[n + 1] = t_pop
+        cost[n + 2 :] = t_push
+        for op_idx in self._locked:
+            contenders = min(decomp.threads_reaching(op_idx), active)
+            cost[op_idx] += operator_lock_cost(machine, contenders)
 
-        base_cost = self._base_cost
-        locked = self._locked
-        for region in decomp.regions:
-            work = 0.0
-            for op_idx, rate in zip(region.operators, region.rates):
-                per_tuple = base_cost[op_idx]
-                if op_idx in locked:
-                    contenders = min(decomp.threads_reaching(op_idx), active)
-                    per_tuple += operator_lock_cost(machine, contenders)
-                work += rate * per_tuple
-            if not region.is_source_region:
-                work += region.entry_rate * t_pop
-            for _queue_op, push_rate in region.push_rates:
-                work += push_rate * t_push
-                copied_bytes_per_tuple += push_rate * payload
-            region_work.append((region.entry, work))
-            if region.is_source_region:
-                w_src_total += work
-            else:
-                w_dyn_total += work
-            if work > serial_max:
-                serial_max = work
-                bottleneck_entry = region.entry
+        # Each region's work is its row of terms summed from 0.0 (the
+        # table's first column).  accumulate adds left to right, so a
+        # row gives the same floats as `work += term` over the members,
+        # the pop and the pushes in turn; its 0.0 padding terms leave a
+        # sum begun at 0.0 unchanged.
+        terms = cost[decomp.term_keys]
+        terms *= decomp.term_rates
+        work = np.add.accumulate(terms, axis=1)[:, -1]
+        # The class totals and the bytes copied into queues, each summed
+        # from 0.0 in region order.
+        push_rates = decomp.push_rates
+        n_regions, n_push_cols = push_rates.shape
+        sums = np.zeros((3, 1 + max(n_regions, n_regions * n_push_cols)))
+        sums[0, 1:n_sources + 1] = work[:n_sources]
+        sums[1, 1:n_dynamic + 1] = work[n_sources:]
+        np.multiply(
+            push_rates,
+            payload,
+            out=sums[2, 1:n_regions * n_push_cols + 1].reshape(
+                n_regions, n_push_cols
+            ),
+        )
+        w_src_total, w_dyn_total, copied_bytes_per_tuple = (
+            np.add.accumulate(sums, axis=1)[:, -1].tolist()
+        )
+        # The first region of the largest positive work.
+        positive = np.fmax(work, 0.0)
+        top = int(positive.argmax())
+        serial_max = float(positive[top])
+        bottleneck_entry = (
+            int(decomp.heads[top]) if serial_max > 0.0 else None
+        )
+        region_work = tuple(zip(decomp.heads.tolist(), work.tolist()))
 
         # Region rates are normalized to UNIT rate per source; the
         # aggregate emission rate `lambda` splits evenly over the
@@ -217,7 +239,7 @@ class PerformanceModel:
             thread_speed=thread_speed,
             active_threads=active,
             scheduler_threads_used=sched_used,
-            region_work=tuple(region_work),
+            region_work=region_work,
         )
         if len(self._estimate_cache) > 4096:
             self._estimate_cache.clear()
@@ -246,14 +268,19 @@ class PerformanceModel:
         self._estimate_cache: Dict[Tuple[frozenset, int], ThroughputEstimate] = {}
         machine = self.machine
         # Fixed per-tuple cost of each operator: execution plus
-        # call/submit overheads (lock contention is added per region).
-        self._base_cost = tuple(
-            machine.flop_time(op.cost_flops)
-            + machine.call_overhead_s
-            + machine.submit_overhead_s * op.selectivity
-            for op in graph
+        # call/submit overheads (lock contention is added per estimate),
+        # then 0.0 for the padding key of region tables, and slots the
+        # estimate fills with the pop cost and the push costs.
+        self._base_cost = np.array(
+            [
+                machine.flop_time(op.cost_flops)
+                + machine.call_overhead_s
+                + machine.submit_overhead_s * op.selectivity
+                for op in graph
+            ]
+            + [0.0] * (len(graph) + 3)
         )
-        self._locked = frozenset(op.index for op in graph if op.uses_lock)
+        self._locked = tuple(op.index for op in graph if op.uses_lock)
         self._source_rate_cap = min(
             (op.max_rate for op in graph.sources if op.max_rate is not None),
             default=float("inf"),

@@ -11,6 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Tuple
 
+from ..sums import left_sum
+
 
 @dataclass(frozen=True)
 class Observation:
@@ -60,7 +62,7 @@ class AdaptationTrace:
         if not self.observations:
             return 0.0
         tail = self.observations[-window:]
-        return sum(o.true_throughput for o in tail) / len(tail)
+        return left_sum(o.true_throughput for o in tail) / len(tail)
 
     def final_threads(self) -> int:
         return self.observations[-1].threads if self.observations else 0

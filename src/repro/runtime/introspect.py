@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from typing import List, Tuple
 
 from ..perfmodel.throughput import ThroughputEstimate
+from ..sums import left_sum
 from .pe import ProcessingElement
 
 
@@ -97,7 +98,7 @@ def inspect(pe: ProcessingElement) -> PeReport:
 
     # Utilization: fraction of the active threads' capacity the current
     # throughput actually consumes.
-    total_work = sum(w for _e, w in estimate.region_work)
+    total_work = left_sum(w for _e, w in estimate.region_work)
     capacity = estimate.active_threads * estimate.thread_speed
     n_sources = max(1, len(graph.sources))
     demand = (estimate.throughput / n_sources) * total_work

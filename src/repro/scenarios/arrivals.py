@@ -39,6 +39,7 @@ import random
 from dataclasses import dataclass
 from typing import Iterator, List, Tuple
 
+from ..sums import left_sum
 from .schema import ArrivalKind, ArrivalSpec, ModulationKind, ModulationSpec
 
 # Flash crowds / ramps are one-shot: after the transition the envelope
@@ -221,7 +222,7 @@ class ArrivalProcess:
             return base
         if mod.kind is ModulationKind.DIURNAL:
             factors = _diurnal_factors(mod)
-            return base * sum(factors) / len(factors)
+            return base * left_sum(factors) / len(factors)
         if mod.kind is ModulationKind.ONOFF:
             return base * mod.on_s / (mod.on_s + mod.off_s)
         if mod.kind is ModulationKind.FLASH_CROWD:

@@ -46,6 +46,7 @@ from ..des.channels import ChannelConfig
 from ..graph.topologies import bushy, data_parallel, mixed, pipeline
 from ..perfmodel.machine import MachineProfile, laptop, power8_184, xeon_176
 from ..runtime.config import ElasticityConfig, RuntimeConfig
+from ..sums import left_sum
 from .arrivals import ArrivalProcess
 from .schema import (
     ArrivalKind,
@@ -270,8 +271,11 @@ def compile_topology(spec: TopologySpec, seed: int = 0) -> StreamGraph:
 def _effective_payload(scenario: Scenario) -> Optional[int]:
     payload = scenario.workload.payload
     if payload.kind is PayloadKind.MIX:
-        total_w = sum(c.weight for c in payload.mix)
-        mean = sum(c.payload_bytes * c.weight for c in payload.mix) / total_w
+        total_w = left_sum(c.weight for c in payload.mix)
+        mean = (
+            left_sum(c.payload_bytes * c.weight for c in payload.mix)
+            / total_w
+        )
         return int(round(mean))
     if payload.payload_bytes > 0:
         return payload.payload_bytes

@@ -65,8 +65,10 @@ OVERFLOW = "onoff-burst-overflow"
 LOCKED_SINK_JOB = "multi-pe-sink-contention"
 
 
-def _window_keys():
+def _window_keys(names=None):
     for name, configs in WINDOWS.items():
+        if names is not None and name not in names:
+            continue
         compiled = load_compiled(find_scenario(name, None))
         t0s = OPEN_LOOP_T0 if compiled.open_loop else (None,)
         for queued, threads in configs:
@@ -101,9 +103,9 @@ def _label(name, queued, threads, t0, profiled):
     return f"{name}|q={list(queued)}|t={threads}|t0={t0}|prof={profiled}"
 
 
-def window_records():
+def window_records(names=None):
     out = {}
-    for name, compiled, queued, threads, t0, profiled in _window_keys():
+    for name, compiled, queued, threads, t0, profiled in _window_keys(names):
         engine, result, profiler = _run_window(
             compiled, queued, threads, t0, profiled
         )
@@ -120,16 +122,18 @@ def window_records():
     return out
 
 
-def _decision_scenarios():
+def _decision_scenarios(names=None):
     for path in scenario_files(None):
+        if names is not None and path.stem not in names:
+            continue
         compiled = load_compiled(path)
         if compiled.open_loop or path.stem == LOCKED_SINK_JOB:
             yield path.stem, compiled
 
 
-def decision_records():
+def decision_records(names=None):
     out = {}
-    for name, compiled in _decision_scenarios():
+    for name, compiled in _decision_scenarios(names):
         cache.clear()
         hub = ObservabilityHub()
         results = run_scenario(compiled, obs=hub, warm_start="off")

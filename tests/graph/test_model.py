@@ -292,3 +292,44 @@ class TestLinearChains:
         assert [order[positions[i]] for i in range(len(diamond))] == list(
             range(len(diamond))
         )
+
+
+class TestFlatChains:
+    def test_flat_arrays_lay_the_chains_end_to_end(self, diamond):
+        chains = diamond.linear_chains
+        n = len(diamond)
+        flat = [op for ops in chains.ops for op in ops]
+        assert list(chains.flat_ops) == flat + [n]
+        for pos, op in enumerate(flat):
+            assert chains.flat_index[op] == pos
+            assert chains.flat_factors[pos] == chains.multipliers[
+                chains.chain[op]
+            ][chains.position[op]]
+            assert chains.flat_factors[n + 1 + pos] == (
+                diamond.arrival_rates()[op]
+            )
+            ops = chains.ops[chains.chain[op]]
+            end = flat.index(ops[0]) + len(ops)
+            assert chains.flat_end[op] == end
+        assert chains.flat_index[n] == n
+        assert chains.flat_factors[n] == 1.0
+
+    def test_flat_walks_mark_chains_ending_at_a_branch_or_merge(
+        self, diamond
+    ):
+        chains = diamond.linear_chains
+        walks = {
+            chains.flat_ops[p - 1]
+            for p in range(1, len(diamond) + 1)
+            if chains.flat_walks[p]
+        }
+        names = {diamond.operator(i).name for i in walks}
+        # src-a branches, b and c merge into d; d-snk ends at the sink.
+        assert names == {"a", "b", "c"}
+        assert not chains.flat_walks[0]
+
+    def test_flat_arrays_are_read_only(self, chain10):
+        chains = chain10.linear_chains
+        for array in chains[4:]:
+            with pytest.raises(ValueError):
+                array[0] = array[0]

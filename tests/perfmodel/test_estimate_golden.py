@@ -8,6 +8,15 @@ counts, plus the full perfmodel-backend log of one 512-operator
 ``xeon-wide-pipeline`` adaptation run.  Any caching or reordering in the
 model's hot path must leave every float unchanged.
 
+Regions that continue past a branch or merge and locks that several
+regions contend for are pinned by digests, one per (graph, placement)
+over all thread counts: the PacketAnalysis (1 and 8 sources) and VWAP
+app graphs under empty, full, hand-optimized and seeded random
+placements on the Xeon profile, and the seeded ``random_graph`` x
+``random_placement`` cells of ``test_decompose_properties.py`` (SPLIT
+fan-out, selectivities 0.25-3.0, locks) on the Xeon and laptop
+profiles.
+
 Regenerate (only when a model change is *meant* to move numbers)::
 
     PYTHONPATH=src python tests/perfmodel/test_estimate_golden.py
@@ -19,12 +28,18 @@ import dataclasses
 import hashlib
 import json
 import random
+import sys
 from pathlib import Path
 
 import pytest
 
+from repro.apps.packet_analysis import (
+    build_packet_analysis,
+    hand_optimized as packet_hand_optimized,
+)
+from repro.apps.vwap import build_vwap, hand_optimized as vwap_hand_optimized
 from repro.obs import ObservabilityHub
-from repro.perfmodel import PerformanceModel
+from repro.perfmodel import PerformanceModel, laptop, xeon_176
 from repro.runtime import QueuePlacement
 from repro.scenarios import (
     compile_scenario,
@@ -33,6 +48,13 @@ from repro.scenarios import (
     run_scenario,
     scenario_from_dict,
     scenario_to_dict,
+)
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "runtime"))
+from test_decompose_properties import (  # noqa: E402
+    SEEDS,
+    random_graph,
+    random_placement,
 )
 
 FIXTURE = Path(__file__).with_name("estimate_golden.json")
@@ -60,12 +82,12 @@ def _compiled(name, seed=None):
     return compile_scenario(scenario_from_dict(doc))
 
 
-def _placements(graph, name):
+def _placements(graph, name, count=PLACEMENTS_PER_GRAPH):
     """Empty, full, then random subsets of varied density."""
     rng = random.Random(f"golden:{name}")
     eligible = [op.index for op in graph if not op.is_source]
     out = [QueuePlacement.empty(), QueuePlacement.full(graph)]
-    while len(out) < PLACEMENTS_PER_GRAPH:
+    while len(out) < count:
         density = rng.choice((0.02, 0.1, 0.3, 0.7))
         out.append(
             QueuePlacement.of(i for i in eligible if rng.random() < density)
@@ -109,6 +131,43 @@ def estimate_records():
     return out
 
 
+def cell_digest(model, placement):
+    """One digest over every thread count's estimate record."""
+    records = [
+        _estimate_record(
+            model.estimate(placement, threads),
+            model.sink_throughput(placement, threads),
+        )
+        for threads in THREAD_COUNTS
+    ]
+    return _digest(json.dumps(records, sort_keys=True))
+
+
+def app_digests():
+    """PacketAnalysis (1 and 8 sources) and VWAP on the Xeon profile."""
+    graphs = [build_packet_analysis(n) for n in (1, 8)] + [build_vwap()]
+    hand = (packet_hand_optimized, packet_hand_optimized, vwap_hand_optimized)
+    out = {}
+    for graph, optimized in zip(graphs, hand):
+        model = PerformanceModel(graph, xeon_176())
+        placements = _placements(graph, graph.name, count=8)
+        placements.append(optimized(graph)[0])
+        out[graph.name] = [cell_digest(model, p) for p in placements]
+    return out
+
+
+def random_digests():
+    """The seeded random graph x placement cells, laptop on odd seeds."""
+    out = {}
+    for seed in SEEDS:
+        rng = random.Random(seed)
+        graph = random_graph(rng)
+        placements = [random_placement(graph, rng) for _ in range(4)]
+        model = PerformanceModel(graph, laptop(8) if seed % 2 else xeon_176())
+        out[str(seed)] = [cell_digest(model, p) for p in placements]
+    return out
+
+
 def run_record():
     compiled = _compiled("xeon-wide-pipeline", seed=RUN_SEED)
     hub = ObservabilityHub()
@@ -130,7 +189,12 @@ def run_record():
 
 
 def current():
-    return {"estimates": estimate_records(), "run": run_record()}
+    return {
+        "estimates": estimate_records(),
+        "apps": app_digests(),
+        "random": random_digests(),
+        "run": run_record(),
+    }
 
 
 @pytest.fixture(scope="module")
@@ -147,15 +211,16 @@ def test_estimates_match_golden(golden, name):
         assert g == w, (g["placement"], g["threads"])
 
 
+def test_app_estimates_match_golden(golden):
+    assert app_digests() == golden["apps"]
+
+
+def test_random_cell_estimates_match_golden(golden):
+    assert random_digests() == golden["random"]
+
+
 def test_perfmodel_run_log_matches_golden(golden):
-    got, want = run_record(), dict(golden["run"])
-    # The converged throughput is a mean taken with the built-in sum(),
-    # which Python 3.12+ compensates (Neumaier), so it is pinned to a
-    # few ulps; the log digest pins every per-period value exactly.
-    assert float(got.pop("converged_throughput")) == pytest.approx(
-        float(want.pop("converged_throughput")), rel=1e-12, abs=0.0
-    )
-    assert got == want
+    assert run_record() == golden["run"]
 
 
 if __name__ == "__main__":

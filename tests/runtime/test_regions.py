@@ -244,3 +244,67 @@ class TestSelectivityRegions:
         assert d.threads_reaching(drop.index) == 1
         assert d.threads_reaching(work.index) == 0
         assert d.threads_reaching(snk.index) == 0
+
+
+class TestRegionTable:
+    """The arrays behind ``regions``: layout, views and read-only-ness."""
+
+    def test_rows_match_region_views(self, diamond):
+        b_idx = diamond.by_name("b").index
+        d = decompose(diamond, QueuePlacement.of([b_idx]))
+        n = len(diamond)
+        for row, region in enumerate(d.regions):
+            members = d.n_members[row]
+            pushes = len(region.push_rates)
+            assert d.heads[row] == region.entry
+            assert d.entry_rates[row] == region.entry_rate
+            assert tuple(d.members[row, :members]) == region.operators
+            assert tuple(d.member_rates[row, :members]) == region.rates
+            assert set(d.members[row, members:]) <= {n}
+            assert not d.member_rates[row, members:].any()
+            width = d.push_rates.shape[1]
+            assert tuple(
+                zip(
+                    d.push_targets[row, width - pushes:],
+                    d.push_rates[row, width - pushes:],
+                )
+            ) == region.push_rates
+            assert set(d.push_targets[row, : width - pushes]) <= {n}
+
+    def test_term_keys_mark_padding_pop_and_pushes(self, chain10):
+        mid = chain10.by_name("op5").index
+        d = decompose(chain10, QueuePlacement.of([mid]))
+        n = len(chain10)
+        keys = d.term_keys
+        assert (keys[:, 0] == n).all()
+        # The source region pops nothing and pushes into op5's queue.
+        assert keys[0, d.n_cols + 1] == n
+        assert keys[0, -1] == n + 2 + mid
+        assert keys[1, d.n_cols + 1] == n + 1
+        assert keys[1, -1] == n
+        assert list(d.push_targets[:, -1]) == [mid, n]
+
+    def test_arrays_are_read_only(self, dp8):
+        workers = [op.index for op in dp8 if op.name.startswith("worker")]
+        d = decompose(dp8, QueuePlacement.of(workers[:3]))
+        for array in (
+            d.heads,
+            d.term_keys,
+            d.term_rates,
+            d.members,
+            d.member_rates,
+            d.entry_rates,
+            d.n_members,
+            d.push_targets,
+            d.push_rates,
+        ):
+            with pytest.raises(ValueError):
+                array[0] = 0
+
+    def test_walked_members_extend_their_rows(self, dp8):
+        # No queue: the source region walks on through every worker.
+        d = decompose(dp8, QueuePlacement.empty())
+        (region,) = d.regions
+        assert d.n_members[0] == len(dp8) == len(region.operators)
+        assert d.n_cols == len(dp8)
+        assert (d.push_targets == len(dp8)).all()
