@@ -81,6 +81,21 @@ class TestTimeAdvance:
         with pytest.raises(TypeError):
             sim.run_until(1.0)
 
+    def test_request_subclass_raises(self):
+        # Dispatch is on the exact request class; there is no
+        # isinstance fallback for subclasses.
+        class LongTimeout(Timeout):
+            pass
+
+        sim = Simulator()
+
+        def proc():
+            yield LongTimeout(1.0)
+
+        sim.spawn(proc())
+        with pytest.raises(TypeError, match="unknown request"):
+            sim.run_until(2.0)
+
 
 class TestQueues:
     def test_put_get_roundtrip(self):
