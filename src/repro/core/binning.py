@@ -125,10 +125,6 @@ def build_groups(
     return groups
 
 
-def group_sizes(groups: Sequence[ProfilingGroup]) -> List[int]:
-    return [len(g) for g in groups]
-
-
 def validate_groups(
     graph: StreamGraph, groups: Sequence[ProfilingGroup]
 ) -> None:

@@ -80,10 +80,6 @@ class CoordinatorAction:
     set_threads: Optional[int] = None
     note: str = ""
 
-    @property
-    def is_noop(self) -> bool:
-        return self.set_placement is None and self.set_threads is None
-
 
 @dataclass
 class _PendingThreadChange:

@@ -149,11 +149,6 @@ class Decision:
                 f"{sorted(VALID_RULES)}"
             )
 
-    @property
-    def is_change(self) -> bool:
-        """Did this decision request any configuration change?"""
-        return self.set_threads is not None or self.set_n_queues is not None
-
     def to_dict(self) -> dict:
         return asdict(self)
 

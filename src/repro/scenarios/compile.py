@@ -97,12 +97,6 @@ class CompiledScenario:
             return None
         return self.arrival_process.mean_rate()
 
-    @property
-    def peak_arrival_rate(self) -> Optional[float]:
-        if self.arrival_process is None:
-            return None
-        return self.arrival_process.peak_rate()
-
     def arrival_streams(self, t0: float = 0.0) -> Dict[int, Iterator[float]]:
         """Fresh per-source arrival iterators starting at ``t0``.
 
