@@ -16,8 +16,12 @@ baseline (the same convention as ``test_des_kernel.py``).  A live run
 with the vectorized locked-region path disabled is also taken, both
 to isolate that path's share of the win and to pin the modeled curve
 against per-tuple lock execution.  CI perf-smoke runs this file with
-``REPRO_JOB_WORKERS=2``, so the worker pool path is exercised (and
-gated) per PR.
+``REPRO_JOB_WORKERS=2``, but the sweep's job is a shuffle chain whose
+channel-topology waves are each one PE wide, so the executor starts
+no worker pool and the sweep runs in-process at that width too: the
+floor gates the sequential job path.  The pool path is covered by
+``tests/job/test_parallel_executor.py`` and CI's
+``fig07-2pe-passthrough --jobs 2`` zoo run.
 
 Emits the ``multi_pe`` section of ``benchmarks/results/BENCH_des.json``
 (CI perf-smoke runs this file, so the sweep is tracked per PR).
@@ -68,9 +72,9 @@ BASELINE = {
 
 # CI perf gate, the job-path analogue of test_des_kernel's
 # WALL_SPEEDUP_FLOOR: the vectorized locked-region path and the
-# open-loop burst lookahead (plus the worker pool, when
-# REPRO_JOB_WORKERS grants one) must keep the sweep at least this
-# many times faster than the PR-8 executor's reference wall time.
+# open-loop burst lookahead must keep the sweep at least this many
+# times faster than the PR-8 executor's reference wall time (the
+# chain starts no worker pool at any REPRO_JOB_WORKERS).
 # The reference box measures ~7x; 3x leaves headroom for slow CI
 # machines while still failing loudly if the job path regresses back
 # toward per-tuple execution.
@@ -154,7 +158,8 @@ def test_multi_pe_replica_sweep(benchmark):
                 p["sink_tuples"],
                 p["sim_s"],
                 p["wall_s"],
-                cores=max(1, jobs),
+                # One process: a chain runs in-process at any jobs.
+                cores=1,
             ),
         }
         for r, p in sweep.items()

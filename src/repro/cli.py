@@ -359,9 +359,10 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="N",
         help=(
-            "worker-pool width for multi-PE scenarios (1 forces the "
-            "sequential path; default: the scenario's run.jobs, then "
-            "REPRO_JOB_WORKERS, then 1)"
+            "maximum worker-pool width for multi-PE scenarios, which "
+            "never exceeds the widest wave of concurrently runnable PEs "
+            "(1 forces the sequential path; default: the scenario's "
+            "run.jobs, then REPRO_JOB_WORKERS, then 1)"
         ),
     )
     bench.add_argument(
