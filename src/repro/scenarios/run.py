@@ -313,7 +313,7 @@ def run_scenario(
 
     ``backend`` is ``"des"``, ``"perfmodel"`` or ``"both"``; ``None``
     defers to the scenario's own ``run.backend`` declaration.  Returns
-    one result per backend actually run.  ``jobs`` sets the multi-PE
+    one result per backend actually run.  ``jobs`` caps the multi-PE
     worker-pool width (the ``--jobs`` CLI flag); ``warm_start`` the
     coordinator seeding policy (the ``--warm-start`` flag — explicit
     beats ``run.warm_start`` beats ``REPRO_WARM_START``).
