@@ -5,9 +5,12 @@ per backend it declares (``both`` runs DES and perfmodel separately),
 with a fresh :class:`ObservabilityHub`, an empty memo cache and warm
 start off.  Per run the fixture pins the sha256 of the canonical
 decision log (``json.dumps`` of the decision dataclasses with sorted
-keys), the period count, the final thread count and the converged
-throughput, so any change that moves a single adaptation decision or
-measured rate anywhere in the zoo shows up here.
+keys), the same digest with each decision's ``seq``, ``time_s`` and
+``period`` left out (``log_untimed_sha256``: what the controllers
+decided, apart from where the hub clock put it), the period count, the
+final thread count and the converged throughput, so any change that
+moves a single adaptation decision or measured rate anywhere in the
+zoo shows up here.
 
 Regenerate (only when a change is *meant* to move decisions)::
 
@@ -31,6 +34,11 @@ from repro.scenarios.zoo import scenario_files
 
 FIXTURE = Path(__file__).with_name("zoo_decisions_golden.json")
 ZOO = {path.stem: path for path in scenario_files(None)}
+CLOCK_FIELDS = ("seq", "time_s", "period")
+
+
+def _sha256(rows) -> str:
+    return hashlib.sha256(json.dumps(rows, sort_keys=True).encode()).hexdigest()
 
 
 def _backends(compiled):
@@ -49,11 +57,14 @@ def scenario_records(name):
         (result,) = run_scenario(
             compiled, backend=backend, obs=hub, warm_start="off"
         )
-        log = json.dumps(
-            [dataclasses.asdict(d) for d in hub.decisions()], sort_keys=True
-        ).encode()
+        rows = [dataclasses.asdict(d) for d in hub.decisions()]
+        untimed = [
+            {k: v for k, v in row.items() if k not in CLOCK_FIELDS}
+            for row in rows
+        ]
         out[f"{name}|{backend}"] = {
-            "log_sha256": hashlib.sha256(log).hexdigest(),
+            "log_sha256": _sha256(rows),
+            "log_untimed_sha256": _sha256(untimed),
             "periods": result.periods,
             "final_threads": result.final_threads,
             "converged_throughput": repr(result.converged_throughput),
