@@ -15,16 +15,17 @@ makes parallel runs byte-identical to sequential ones:
   the pool width, so the assignment is reproducible;
 - **small records over the pipe** — per period-step a worker receives
   ``(pe_name, k, ingress_rates)`` and returns the observed throughput
-  plus the *deltas* the parent must re-home: decision field records
-  (seq/time/period stripped — the parent hub's clock re-assigns
-  them), changed ``pe.<name>.``-scoped metric states, and memo cells
-  created this step (so the parent's cache ends bit-identical to a
-  sequential run's);
+  plus the *deltas* the parent must re-home: every log record of the
+  step (decisions with seq/time/period stripped — the parent hub's
+  clock re-assigns them — and the observation and change events),
+  changed ``pe.<name>.``-scoped metric states, and memo cells created
+  this step (so the parent's cache ends bit-identical to a sequential
+  run's);
 - **worker-local hub** — workers publish into a private
   :class:`~repro.obs.hub.ObservabilityHub` (or the null hub when the
   parent is detached, preserving detached-mode freedom).  The
   worker's unscoped ``loop.*`` bookkeeping is deliberately *not*
-  shipped: the parent's decision replay regenerates it.
+  shipped: the parent's record replay regenerates it.
 
 Worker death (a crashed process, an OOM kill) surfaces as
 :class:`~repro.runtime.pool.WorkerPoolError` from the pool with the
@@ -33,6 +34,7 @@ exit code; a worker-side exception ships its full traceback.
 
 from __future__ import annotations
 
+import dataclasses
 import pickle
 from typing import Dict, Optional, Tuple
 
@@ -40,35 +42,21 @@ from ..bench import cache
 from ..obs.decisions import Decision
 from ..obs.hub import NULL_HUB, ObservabilityHub
 from ..runtime.pool import WorkerPool
-from .executor import (
-    build_pe_runner,
-    derived_arrivals,
-    pe_seed,
-    real_source_factory,
-    real_source_key,
-)
+from .executor import build_pe_runner, pe_step_inputs, step_pe
 
 __all__ = ["JobWorkerSession"]
 
 
-def _decision_fields(d: Decision) -> Dict:
-    """A decision without its parent-assigned identity (seq, time,
-    period) — exactly the keyword set ``ObservabilityHub.decision``
-    accepts, so the parent can replay it under its own clock."""
-    return {
-        "component": d.component,
-        "mode": d.mode,
-        "rule": d.rule,
-        "detail": d.detail,
-        "observed": d.observed,
-        "trend": d.trend,
-        "history_hit": d.history_hit,
-        "satisfaction": d.satisfaction,
-        "set_threads": d.set_threads,
-        "set_n_queues": d.set_n_queues,
-        "note": d.note,
-        "scope": d.scope,
-    }
+def _replayable(record) -> Tuple[str, Dict]:
+    """A log record as ``(hub method, keyword arguments)``: the parent
+    replays it with ``getattr(hub, method)(**kwargs)`` under its own
+    sequence and clock.  A decision drops its seq, time and period; an
+    event keeps its own ``time_s`` (the step stamped it)."""
+    if isinstance(record, Decision):
+        fields = dataclasses.asdict(record)
+        del fields["seq"], fields["time_s"], fields["period"]
+        return "decision", fields
+    return record.kind, dataclasses.asdict(record.data)
 
 
 class _WorkerState:
@@ -77,10 +65,8 @@ class _WorkerState:
     def __init__(self, hub) -> None:
         self.hub = hub
         self.runners: Dict[str, object] = {}
-        self.pes: Dict[str, object] = {}
-        self.seeds: Dict[str, int] = {}
-        self.real: Dict[str, Tuple] = {}  # (factory, key) per PE
-        self.decisions_seen = 0
+        self.step_inputs: Dict[str, Tuple] = {}
+        self.records_seen = 0
         self.metric_baseline: Dict[str, dict] = {}
         self.shipped_cache_keys: set = set()
 
@@ -114,11 +100,8 @@ def _init_job_worker(
             arrivals_key,
             hub,
         )
-        state.pes[pe.name] = pe
-        state.seeds[pe.name] = pe_seed(config, i)
-        state.real[pe.name] = (
-            real_source_factory(job, arrivals_factory, pe),
-            real_source_key(arrivals_factory, arrivals_key, pe),
+        state.step_inputs[pe.name] = pe_step_inputs(
+            job, config, i, pe, arrivals_factory, arrivals_key
         )
     return state
 
@@ -154,26 +137,15 @@ def _step_pe(
     rates: Optional[Dict[int, float]],
 ) -> Dict:
     """One adaptation period for one PE; returns the re-homing report."""
-    runner = state.runners[pe_name]
-    real_factory, real_key = state.real[pe_name]
-    factory, key = derived_arrivals(
-        state.pes[pe_name],
-        state.seeds[pe_name],
-        rates,
-        real_factory,
-        real_key,
+    report = step_pe(
+        state.runners[pe_name], state.step_inputs[pe_name], rates, k
     )
-    runner.set_arrivals(factory, key)
-    observed = runner.step_period(k)
-    if state.hub is NULL_HUB:
-        decisions = []
-        metrics: Dict[str, dict] = {}
-    else:
-        log = state.hub.decisions()
-        decisions = [
-            _decision_fields(d) for d in log[state.decisions_seen:]
-        ]
-        state.decisions_seen = len(log)
+    records = []
+    metrics: Dict[str, dict] = {}
+    if state.hub is not NULL_HUB:
+        log = state.hub.records()
+        records = [_replayable(r) for r in log[state.records_seen:]]
+        state.records_seen = len(log)
         exported = state.hub.registry.export_state(prefix="pe.")
         metrics = {
             name: entry
@@ -181,19 +153,12 @@ def _step_pe(
             if state.metric_baseline.get(name) != entry
         }
         state.metric_baseline.update(metrics)
-    return {
-        "observed": observed,
-        "decisions": decisions,
-        "metrics": metrics,
-        "cache": _fresh_cache_entries(state),
-        "threads": runner.threads,
-        "placement": runner.placement,
-        "stable": runner.coordinator.is_stable,
-        "offered_util": runner.last_offered_utilization,
-        "mean_util": runner.last_mean_utilization,
-        "source_rate": runner.last_source_rate,
-        "sim_events": runner.sim_events,
-    }
+    report.update(
+        records=records,
+        metrics=metrics,
+        cache=_fresh_cache_entries(state),
+    )
+    return report
 
 
 def _finish_pe(state: _WorkerState, pe_name: str):

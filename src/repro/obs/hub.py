@@ -74,15 +74,6 @@ class ObservabilityHub:
     # ------------------------------------------------------------------
     # clock / sequencing
     # ------------------------------------------------------------------
-    @property
-    def now(self) -> float:
-        return self._now
-
-    @property
-    def period(self) -> int:
-        """Index of the current adaptation period (-1 before the first)."""
-        return self._period
-
     def tick(self, time_s: float) -> None:
         """Advance the hub clock to the start of a new adaptation period."""
         self._now = time_s
@@ -228,18 +219,12 @@ class ObservabilityHub:
             and (kind is None or r.kind == kind)
         )
 
-    def clear(self) -> None:
-        """Drop the log (metrics keep accumulating)."""
-        self._log.clear()
-
 
 class NullHub:
     """Detached hub: produces the trace dataclasses, records nothing."""
 
     enabled = False
     registry = NULL_REGISTRY
-    now = 0.0
-    period = -1
 
     def tick(self, time_s: float) -> None:
         pass
@@ -264,9 +249,6 @@ class NullHub:
 
     def events(self, kind: Optional[str] = None) -> Tuple[LoggedEvent, ...]:
         return ()
-
-    def clear(self) -> None:
-        pass
 
 
 NULL_HUB = NullHub()

@@ -12,8 +12,12 @@ shared hub instead of the hub itself:
   (:attr:`~repro.obs.decisions.Decision.scope`), so one PE's R1-R5
   trace is recoverable from the merged log with a filter — the
   property the multi-PE equivalence tests pin;
-- everything else (clock, sequence numbers, trace events) forwards to
-  the underlying hub unchanged, preserving total ordering across PEs.
+- trace events (observations, thread and placement changes) forward
+  to the underlying hub unchanged, so sequence numbers keep one total
+  order across PEs;
+- the clock does not forward: the job ticks the hub once per period
+  and every PE's step runs inside that tick, so a scoped
+  :meth:`ScopedObs.tick` is a no-op.
 
 Scopes nest: scoping an already-scoped view concatenates the prefixes
 (``pe.ingest`` then ``profiler`` gives ``pe.ingest.profiler``).  The
@@ -22,9 +26,8 @@ null hub scopes to itself — detached multi-PE runs stay free.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Optional
 
-from .decisions import Decision, LoggedEvent
 from .hub import NULL_HUB, Obs, ensure_hub
 from .registry import MetricsRegistry
 
@@ -48,15 +51,13 @@ class ScopedRegistry:
     def histogram(self, name: str, *args, **kwargs):
         return self._registry.histogram(self._name(name), *args, **kwargs)
 
-    def get(self, name: str):
-        return self._registry.get(self._name(name))
-
 
 class ScopedObs:
     """A hub view that namespaces metrics and tags decisions.
 
-    Duck-typed to the :data:`~repro.obs.hub.Obs` interface, so any
-    component taking ``obs`` works unchanged inside a job.
+    Duck-typed to the recording half of the :data:`~repro.obs.hub.Obs`
+    interface, so any component taking ``obs`` works unchanged inside a
+    job; the log is read from the job's hub.
     """
 
     def __init__(self, obs: Optional[Obs], scope: str) -> None:
@@ -69,23 +70,11 @@ class ScopedObs:
         self.enabled = base.enabled
         self.registry = ScopedRegistry(base.registry, scope)
 
-    # ------------------------------------------------------------------
-    # clock / sequencing (shared with the job)
-    # ------------------------------------------------------------------
-    @property
-    def now(self) -> float:
-        return self.hub.now
-
-    @property
-    def period(self) -> int:
-        return self.hub.period
-
     def tick(self, time_s: float) -> None:
-        self.hub.tick(time_s)
+        """No-op: the job owns the clock.  It ticks the shared hub once
+        per period and steps every PE inside that tick, so each PE's
+        records carry the job's period."""
 
-    # ------------------------------------------------------------------
-    # recording
-    # ------------------------------------------------------------------
     def decision(self, **kwargs):
         kwargs.setdefault("scope", self.scope)
         return self.hub.decision(**kwargs)
@@ -98,23 +87,6 @@ class ScopedObs:
 
     def placement_change(self, **kwargs):
         return self.hub.placement_change(**kwargs)
-
-    # ------------------------------------------------------------------
-    # reading (decisions filtered to this scope; events shared)
-    # ------------------------------------------------------------------
-    def records(self):
-        return self.hub.records()
-
-    def decisions(self) -> Tuple[Decision, ...]:
-        return tuple(
-            d for d in self.hub.decisions() if d.scope == self.scope
-        )
-
-    def events(self, kind: Optional[str] = None) -> Tuple[LoggedEvent, ...]:
-        return self.hub.events(kind)
-
-    def clear(self) -> None:
-        self.hub.clear()
 
 
 def scoped(obs: Optional[Obs], scope: str):

@@ -5,8 +5,8 @@ The job executor's ``jobs > 1`` path fans PEs across a sticky
 worker-side effect — decisions, scoped metrics, memo cells — into the
 parent in deterministic PE order.  The guarantee is *byte identity*,
 not statistical agreement: on every multi-PE zoo scenario the merged
-decision log (including hub-assigned seq numbers and scopes), the
-metric snapshot, the memo-cache key set and the throughput trace must
+hub log — decisions and the observation and change events, including
+hub-assigned seq numbers, periods and scopes — the metric snapshot, the memo-cache key set and the throughput trace must
 match a sequential run exactly.  Anything weaker would make ``--jobs``
 a semantics switch instead of a performance switch.
 
@@ -104,7 +104,7 @@ def _run(name, jobs, warm=False):
 def _signature(result, hub):
     """Everything an observer could diff between two runs."""
     return (
-        tuple(hub.decisions()),
+        hub.records(),
         hub.registry.snapshot(),
         frozenset(cache._STORE),
         dict(result.final_replicas),
