@@ -20,6 +20,10 @@ has ``set_warm_start(spec)``, accepting the same picklable
 :class:`~repro.core.warmstart.WarmStartSpec` (a disabled or ``None``
 spec must leave the stock cold-start decision log byte-identical).
 
+The perfmodel executor and the DES runner share one implementation,
+:class:`~repro.runtime.executor.AdaptationLoop`, whose one
+observe→decide→apply step the job runner also takes for each PE.
+
 The protocol is runtime-checkable so tests can assert conformance
 without importing every substrate, but it is *structural*: nothing
 needs to inherit from it.
