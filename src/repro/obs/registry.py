@@ -401,9 +401,6 @@ class NullRegistry:
     def __iter__(self) -> Iterator[Metric]:
         return iter(())
 
-    def __len__(self) -> int:
-        return 0
-
     def snapshot(self) -> Dict[str, dict]:
         return {}
 

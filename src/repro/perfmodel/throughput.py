@@ -41,6 +41,9 @@ from ..runtime.regions import RegionDecomposition, decompose
 from .contention import operator_lock_cost, pop_cost, push_cost
 from .machine import MachineProfile
 
+# Class-total bins: source regions, dynamic regions, bytes copied.
+_TOTALS = np.arange(3)
+
 
 @dataclass(frozen=True)
 class ThroughputEstimate:
@@ -48,7 +51,11 @@ class ThroughputEstimate:
 
     ``throughput`` is the aggregate source emission rate in tuples/s.
     The individual bounds are exposed for diagnostics and for tests that
-    assert *why* a configuration is slow.
+    assert *why* a configuration is slow.  Each region's work per unit
+    source rate is kept as two flat tuples, ``region_heads`` and
+    ``region_works`` (in the decomposition's row order), and paired up
+    by :attr:`region_work` when read: flat tuples of numbers leave no
+    garbage for the collector to trace, however many regions there are.
     """
 
     throughput: float
@@ -61,7 +68,13 @@ class ThroughputEstimate:
     thread_speed: float
     active_threads: int
     scheduler_threads_used: int
-    region_work: Tuple[Tuple[int, float], ...]
+    region_heads: Tuple[int, ...]
+    region_works: Tuple[float, ...]
+
+    @property
+    def region_work(self) -> Tuple[Tuple[int, float], ...]:
+        """``(head operator, work)`` per region, in row order."""
+        return tuple(zip(self.region_heads, self.region_works))
 
     @property
     def limiting_factor(self) -> str:
@@ -87,9 +100,10 @@ class PerformanceModel:
     evaluates one placement over many consecutive periods and thread
     counts, and revisited placements hit the estimate cache instead.
 
-    An estimate prices the decomposition's region table
-    (:class:`~repro.runtime.regions.RegionDecomposition`) with numpy
-    scans that add in the same order, and so give the same floats, as a
+    An estimate prices the cells of the decomposition's region table
+    (:class:`~repro.runtime.regions.RegionDecomposition`) with one
+    gather, one product and one ``np.bincount``, which adds each cell's
+    term into its row in cell order, and so gives the same floats as a
     loop over every region member would.
     """
 
@@ -136,10 +150,11 @@ class PerformanceModel:
         t_pop = pop_cost(machine, active, n_queues) if n_queues else 0.0
         t_push = push_cost(machine, active, n_queues, payload)
 
-        # The cost of each term key of the region table: every
+        # The cost of each cell key of the region table: every
         # operator's per-tuple cost, a locked one's plus its lock,
         # contended by the threads that can reach it at once; then 0.0
-        # for padding, the pop cost and the push cost into each queue.
+        # for a source region's pop, the pop cost and the push cost into
+        # each queue.
         n = len(self.graph)
         cost = self._base_cost.copy()
         cost[n + 1] = t_pop
@@ -148,39 +163,27 @@ class PerformanceModel:
             contenders = min(decomp.threads_reaching(op_idx), active)
             cost[op_idx] += operator_lock_cost(machine, contenders)
 
-        # Each region's work is its row of terms summed from 0.0 (the
-        # table's first column).  accumulate adds left to right, so a
-        # row gives the same floats as `work += term` over the members,
-        # the pop and the pushes in turn; its 0.0 padding terms leave a
-        # sum begun at 0.0 unchanged.
-        terms = cost[decomp.term_keys]
-        terms *= decomp.term_rates
-        work = np.add.accumulate(terms, axis=1)[:, -1]
-        # The class totals and the bytes copied into queues, each summed
-        # from 0.0 in region order.
-        push_rates = decomp.push_rates
-        n_regions, n_push_cols = push_rates.shape
-        sums = np.zeros((3, 1 + max(n_regions, n_regions * n_push_cols)))
-        sums[0, 1:n_sources + 1] = work[:n_sources]
-        sums[1, 1:n_dynamic + 1] = work[n_sources:]
-        np.multiply(
-            push_rates,
-            payload,
-            out=sums[2, 1:n_regions * n_push_cols + 1].reshape(
-                n_regions, n_push_cols
-            ),
-        )
-        w_src_total, w_dyn_total, copied_bytes_per_tuple = (
-            np.add.accumulate(sums, axis=1)[:, -1].tolist()
-        )
-        # The first region of the largest positive work.
-        positive = np.fmax(work, 0.0)
-        top = int(positive.argmax())
-        serial_max = float(positive[top])
-        bottleneck_entry = (
-            int(decomp.heads[top]) if serial_max > 0.0 else None
-        )
-        region_work = tuple(zip(decomp.heads.tolist(), work.tolist()))
+        # Each region's work is its cells' terms summed from 0.0.
+        # bincount adds term i into its row for i = 0, 1, ..., so a row
+        # gives the same floats as `work += term` over its members, its
+        # pop and its pushes in turn.  The same goes for the class
+        # totals (region order) and the bytes copied into queues (push
+        # cell order, which is region order).
+        terms = cost[decomp.cell_keys]
+        terms *= decomp.cell_rates
+        work = np.bincount(decomp.cell_rows, terms)
+        push_bytes = decomp.push_rates * payload
+        w_src_total, w_dyn_total, copied_bytes_per_tuple = np.bincount(
+            np.repeat(_TOTALS, (n_sources, n_dynamic, len(push_bytes))),
+            np.concatenate((work, push_bytes)),
+            minlength=3,
+        ).tolist()
+        works = tuple(work.tolist())
+        # The first region of the largest work (terms are >= 0), if
+        # positive.
+        top = int(work.argmax())
+        serial_max = works[top]
+        bottleneck_entry = decomp.heads[top] if serial_max > 0.0 else None
 
         # Region rates are normalized to UNIT rate per source; the
         # aggregate emission rate `lambda` splits evenly over the
@@ -239,7 +242,8 @@ class PerformanceModel:
             thread_speed=thread_speed,
             active_threads=active,
             scheduler_threads_used=sched_used,
-            region_work=region_work,
+            region_heads=decomp.heads,
+            region_works=works,
         )
         if len(self._estimate_cache) > 4096:
             self._estimate_cache.clear()
@@ -269,8 +273,8 @@ class PerformanceModel:
         machine = self.machine
         # Fixed per-tuple cost of each operator: execution plus
         # call/submit overheads (lock contention is added per estimate),
-        # then 0.0 for the padding key of region tables, and slots the
-        # estimate fills with the pop cost and the push costs.
+        # then 0.0 for a source region's pop, and slots the estimate
+        # fills with the pop cost and the push costs.
         self._base_cost = np.array(
             [
                 machine.flop_time(op.cost_flops)

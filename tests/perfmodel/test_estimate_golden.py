@@ -101,7 +101,8 @@ def _digest(value) -> str:
 
 def _estimate_record(est, sink):
     fields = dataclasses.asdict(est)
-    region_work = fields.pop("region_work")
+    del fields["region_heads"], fields["region_works"]
+    region_work = est.region_work
     # repr() round-trips floats exactly (inf included).
     record = {key: repr(value) for key, value in sorted(fields.items())}
     record["region_work_sha256"] = _digest(region_work)

@@ -247,57 +247,60 @@ class TestSelectivityRegions:
 
 
 class TestRegionTable:
-    """The arrays behind ``regions``: layout, views and read-only-ness."""
+    """The cells behind ``regions``: layout, views and read-only-ness."""
+
+    @staticmethod
+    def _row_cells(d, row):
+        """Row ``row``'s (key, rate) cells, in table order."""
+        mine = d.cell_rows == row
+        return list(
+            zip(d.cell_keys[mine].tolist(), d.cell_rates[mine].tolist())
+        )
 
     def test_rows_match_region_views(self, diamond):
         b_idx = diamond.by_name("b").index
         d = decompose(diamond, QueuePlacement.of([b_idx]))
         n = len(diamond)
+        assert d.heads == tuple(r.entry for r in d.regions)
         for row, region in enumerate(d.regions):
-            members = d.n_members[row]
-            pushes = len(region.push_rates)
-            assert d.heads[row] == region.entry
-            assert d.entry_rates[row] == region.entry_rate
-            assert tuple(d.members[row, :members]) == region.operators
-            assert tuple(d.member_rates[row, :members]) == region.rates
-            assert set(d.members[row, members:]) <= {n}
-            assert not d.member_rates[row, members:].any()
-            width = d.push_rates.shape[1]
-            assert tuple(
-                zip(
-                    d.push_targets[row, width - pushes:],
-                    d.push_rates[row, width - pushes:],
-                )
-            ) == region.push_rates
-            assert set(d.push_targets[row, : width - pushes]) <= {n}
+            pop = n if region.is_source_region else n + 1
+            assert self._row_cells(d, row) == [
+                *region.op_rates,
+                (pop, region.entry_rate),
+                *((n + 2 + q, rate) for q, rate in region.push_rates),
+            ]
 
-    def test_term_keys_mark_padding_pop_and_pushes(self, chain10):
+    def test_cells_hold_no_padding(self):
+        graph = mixed(4, 8)
+        placement = QueuePlacement.of(
+            op.index for op in graph if op.index % 3 == 1
+        )
+        d = decompose(graph, placement)
+        members = sum(len(r.operators) for r in d.regions)
+        pushes = sum(len(r.push_rates) for r in d.regions)
+        assert d.n_pushes == pushes
+        assert len(d.cell_rows) == members + d.n_regions + pushes
+        assert list(d.push_rates) == [
+            rate for r in d.regions for _q, rate in r.push_rates
+        ]
+
+    def test_cell_keys_mark_members_pops_and_pushes(self, chain10):
         mid = chain10.by_name("op5").index
         d = decompose(chain10, QueuePlacement.of([mid]))
         n = len(chain10)
-        keys = d.term_keys
-        assert (keys[:, 0] == n).all()
-        # The source region pops nothing and pushes into op5's queue.
-        assert keys[0, d.n_cols + 1] == n
-        assert keys[0, -1] == n + 2 + mid
-        assert keys[1, d.n_cols + 1] == n + 1
-        assert keys[1, -1] == n
-        assert list(d.push_targets[:, -1]) == [mid, n]
+        # Members by row, then the pops, then the one push.
+        assert d.cell_rows.tolist() == (
+            [0] * mid + [1] * (n - mid) + [0, 1, 0]
+        )
+        assert d.cell_keys.tolist() == (
+            list(range(n)) + [n, n + 1, n + 2 + mid]
+        )
+        assert d.n_pushes == 1
 
     def test_arrays_are_read_only(self, dp8):
         workers = [op.index for op in dp8 if op.name.startswith("worker")]
         d = decompose(dp8, QueuePlacement.of(workers[:3]))
-        for array in (
-            d.heads,
-            d.term_keys,
-            d.term_rates,
-            d.members,
-            d.member_rates,
-            d.entry_rates,
-            d.n_members,
-            d.push_targets,
-            d.push_rates,
-        ):
+        for array in (d.cell_rows, d.cell_keys, d.cell_rates, d.push_rates):
             with pytest.raises(ValueError):
                 array[0] = 0
 
@@ -305,6 +308,6 @@ class TestRegionTable:
         # No queue: the source region walks on through every worker.
         d = decompose(dp8, QueuePlacement.empty())
         (region,) = d.regions
-        assert d.n_members[0] == len(dp8) == len(region.operators)
-        assert d.n_cols == len(dp8)
-        assert (d.push_targets == len(dp8)).all()
+        assert len(region.operators) == len(dp8)
+        assert self._row_cells(d, 0)[: len(dp8)] == list(region.op_rates)
+        assert d.n_pushes == 0
